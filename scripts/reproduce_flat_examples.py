@@ -6,7 +6,7 @@ Usage: python scripts/reproduce_flat_examples.py
 
 from sublorentz.builtins import STRUCTURE_FILES
 from sublorentz.contact import Frame, build_apparatus
-from sublorentz.invariants import CoordinateContext, classify, compute_invariants
+from sublorentz.invariants import CoordinateContext, classify
 from sublorentz.lie_algebra import (
     catalog_algebra,
     catalog_marking,
@@ -23,8 +23,8 @@ def show_frame(name: str) -> None:
     frame = Frame(defn.chart, defn.x1, defn.x2)
     app = build_apparatus(frame)
     ctx = CoordinateContext(app)
-    inv = compute_invariants(ctx.sf, ctx)
-    label = classify(inv, "frame", ctx.sf, ctx)
+    inv = ctx.inv
+    label = classify(ctx)
     print(f"== {name} ==")
     print("  omega      :", [render_expr(c) for c in app.omega.components])
     print("  Reeb field :", render_field(app.x0))
@@ -55,8 +55,7 @@ def show_algebra(name: str) -> None:
 def show_ode() -> None:
     q = rigid_example_rhs()
     s = build_from_ode(q)
-    ctx = CoordinateContext(build_apparatus(s.frame))
-    inv = compute_invariants(ctx.sf, ctx)
+    inv = CoordinateContext(build_apparatus(s.frame)).inv
     print("== ode u'' = (1+2x)e^u + (x+x^2)e^u p ==")
     print("  frame X1   :", render_field(s.frame.x1))
     print("  chi        :", render_expr(inv.chi))

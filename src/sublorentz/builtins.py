@@ -1,6 +1,6 @@
 """Embedded structure fixtures so the CLI and tests run with no external files."""
 
-from .lie_algebra import CATALOG_NAMES
+from .lie_algebra import ALGEBRA_NAMES  # noqa: F401  (listed beside the structures)
 
 MARTINET = """\
 # Flat structure with degeneracy surface {y = 0}
@@ -62,7 +62,3 @@ STRUCTURE_FILES = {
     "sl2_n": SL2_N,
     "sl2_f": SL2_F,
 }
-
-ALGEBRA_NAMES = CATALOG_NAMES
-
-CATALOG = tuple(sorted(set(STRUCTURE_FILES) | set(ALGEBRA_NAMES)))

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import builtins as fixtures
 from .errors import EngineError, IndeterminateDomain
-from .expr import Chart
+from .expr import Chart, Expr
 from .ode_bridge import ODE_CHART
 from .parsing import parse_expr, parse_structure_file
 from .report import (
@@ -44,6 +43,13 @@ def _load_definition(target: str):
         f"no such file or built-in structure: {target!r} "
         f"(built-ins: {', '.join(sorted(fixtures.STRUCTURE_FILES))})"
     )
+
+
+def _parse_kappa(text: str) -> Expr:
+    kappa = parse_expr(text, Chart((), ()))
+    if not kappa.is_rational_constant():
+        raise EngineError(f"--kappa must be a rational number, got {text!r}")
+    return kappa
 
 
 def _emit(report: dict, fmt: str) -> int:
@@ -116,7 +122,7 @@ def main(argv=None) -> int:
             }
             return _emit(report, args.format)
         if args.command == "algebra":
-            kappa = Fraction(args.kappa) if args.kappa is not None else None
+            kappa = _parse_kappa(args.kappa) if args.kappa is not None else None
             return _emit(algebra_report(args.name, kappa), args.format)
         if args.command == "ode":
             q = parse_expr(args.q, ODE_CHART)

@@ -25,6 +25,7 @@ from .calculus import (
     lie_bracket,
     one_form,
     solve3,
+    wedge,
 )
 from .expr import Chart, Expr, Tri
 
@@ -105,7 +106,7 @@ def _vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
     seen: list[sp.Expr] = []
     for e in exprs:
         num, den = e.sym.as_numer_denom()
-        for poly in (num, den) if e is not None else ():
+        for poly in (num, den):
             if poly.is_Rational:
                 continue
             try:
@@ -162,12 +163,6 @@ def apparatus_checks(app: ContactApparatus) -> dict[str, Tri]:
                 dual_ok = Tri.UNKNOWN
     checks["<nu_i,X_j>=delta_ij"] = dual_ok
     dnu0 = exterior_derivative(app.nu0)
-    residual = dnu0 - _wedge_nu(app.nu1, app.nu2)
+    residual = dnu0 - wedge(app.nu1, app.nu2)
     checks["dnu0=nu1^nu2"] = residual.is_zero()
     return checks
-
-
-def _wedge_nu(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    from .calculus import wedge
-
-    return wedge(a, b)

@@ -11,18 +11,17 @@ directional derivatives equal to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import expr as ex
 from .calculus import (
-    DifferentialForm,
     VectorField,
     evaluate,
     exterior_derivative,
     lie_bracket,
     scalar_form,
     wedge,
-    zero_form,
 )
 from .contact import ContactApparatus, Frame, build_apparatus
 from .errors import (
@@ -89,13 +88,14 @@ class CoordinateContext:
     def __init__(self, apparatus: ContactApparatus):
         self.apparatus = apparatus
         self.chart = apparatus.chart
-        self._sf: Optional[StructureFunctions] = None
 
-    @property
+    @cached_property
     def sf(self) -> StructureFunctions:
-        if self._sf is None:
-            self._sf = structure_functions(self.apparatus)
-        return self._sf
+        return structure_functions(self.apparatus)
+
+    @cached_property
+    def inv(self) -> Invariants:
+        return compute_invariants(self.sf, self)
 
     def derive(self, i: int, f: Expr) -> Expr:
         return self.apparatus.marked_fields[i](f)
@@ -110,6 +110,10 @@ class ConstantContext:
         self.sf = sf
         self.chart = chart
         sf.validate_trace()
+
+    @cached_property
+    def inv(self) -> Invariants:
+        return compute_invariants(self.sf, self)
 
     def derive(self, i: int, f: Expr) -> Expr:
         return self.chart.zero()
@@ -152,7 +156,7 @@ def structure_functions(app: ContactApparatus) -> StructureFunctions:
 
 
 def compute_invariants(sf: StructureFunctions, ctx) -> Invariants:
-    half = _half(ctx.chart)
+    half = ctx.chart.one() / 2
     b = half * (sf.c021 - sf.c012)
     h_tilde = ((sf.c011, b), (-b, sf.c022))
     h_bar = ((-sf.c011, -b), (-b, sf.c022))
@@ -167,17 +171,6 @@ def compute_invariants(sf: StructureFunctions, ctx) -> Invariants:
     return Invariants(h_tilde, chi, kappa, h_bar)
 
 
-def _half(chart: Chart) -> Expr:
-    return chart.one() / 2
-
-
-def invariants_of_frame(frame: Frame) -> tuple[ContactApparatus, StructureFunctions, Invariants]:
-    app = build_apparatus(frame)
-    ctx = CoordinateContext(app)
-    sf = ctx.sf
-    return app, sf, compute_invariants(sf, ctx)
-
-
 # -- eta form and coframe identities -----------------------------------------
 
 
@@ -189,8 +182,8 @@ class EtaReport:
     eta_coefficients: tuple[Expr, Expr, Expr]
 
 
-def _require_h_tilde_zero(sf: StructureFunctions, ctx) -> Expr:
-    inv = compute_invariants(sf, ctx)
+def _require_h_tilde_zero(ctx) -> Expr:
+    inv = ctx.inv
     v = inv.h_tilde_is_zero()
     if v is Tri.FALSE:
         raise HTildeNonzero("h_tilde does not vanish")
@@ -205,7 +198,7 @@ def eta_check(ctx) -> EtaReport:
     exterior derivative reduces to d(kappa) ^ nu0, together with the two
     first-order coframe identities that the closure rests on."""
     sf = ctx.sf
-    kappa = _require_h_tilde_zero(sf, ctx)
+    kappa = _require_h_tilde_zero(ctx)
     c = sf.c021
     r1 = -ctx.derive(1, c) - c * sf.c122 + ctx.derive(0, sf.c121)
     r2 = ctx.derive(2, c) - c * sf.c121 + ctx.derive(0, sf.c122)
@@ -252,8 +245,8 @@ class NullKernelResult:
     reason: str
 
 
-def null_kernel_bundle(sf: StructureFunctions, ctx) -> NullKernelResult:
-    inv = compute_invariants(sf, ctx)
+def null_kernel_bundle(ctx) -> NullKernelResult:
+    inv = ctx.inv
     chi_zero = inv.chi.is_zero()
     ht_zero = inv.h_tilde_is_zero()
     if chi_zero is Tri.UNKNOWN or ht_zero is Tri.UNKNOWN:
@@ -262,11 +255,10 @@ def null_kernel_bundle(sf: StructureFunctions, ctx) -> NullKernelResult:
         return NullKernelResult(None, None, "chi does not vanish")
     if ht_zero is Tri.TRUE:
         return NullKernelResult(None, None, "h_tilde vanishes")
-    half = _half(ctx.chart)
-    b = half * (sf.c021 - sf.c012)
-    if (sf.c011 - b).is_zero() is Tri.TRUE:
+    (c011, b), _ = inv.h_tilde
+    if (c011 - b).is_zero() is Tri.TRUE:
         return NullKernelResult("X1-X2", (1, -1), "c01^1 = (c02^1 - c01^2)/2")
-    if (sf.c011 + b).is_zero() is Tri.TRUE:
+    if (c011 + b).is_zero() is Tri.TRUE:
         return NullKernelResult("X1+X2", (1, 1), "c01^1 = -(c02^1 - c01^2)/2")
     raise IndeterminateDomain("cannot decide the kernel branch")
 
@@ -284,12 +276,6 @@ def hyperbolic_rotate(frame: Frame, theta: Expr) -> Frame:
     return Frame(frame.chart, y1, y2)
 
 
-def rotation_matrix(theta: Expr):
-    ch = ex.cosh(theta)
-    sh = ex.sinh(theta)
-    return ((ch, sh), (sh, ch))
-
-
 def dilate(frame: Frame, scale: str) -> Frame:
     """Rescale the frame by a positive constant parameter (declared on demand)."""
     chart = frame.chart.with_params(scale)
@@ -301,19 +287,12 @@ def dilate(frame: Frame, scale: str) -> Frame:
     return Frame(chart, lift(frame.x1), lift(frame.x2))
 
 
-def lift_frame(frame: Frame, chart: Chart) -> Frame:
-    def lift(v: VectorField) -> VectorField:
-        return VectorField(chart, tuple(Expr(chart, c.sym) for c in v.components))
-
-    return Frame(chart, lift(frame.x1), lift(frame.x2))
-
-
 # -- classification -----------------------------------------------------------
 
 
-def classify(inv: Invariants, mode: str, sf: Optional[StructureFunctions] = None,
-             ctx=None) -> Classification:
-    scope = "group" if mode == "algebra" else "pointwise"
+def classify(ctx) -> Classification:
+    scope = "group" if ctx.mode == "algebra" else "pointwise"
+    inv = ctx.inv
     ht = inv.h_tilde_is_zero()
     kz = inv.kappa.is_zero()
     chiz = inv.chi.is_zero()
@@ -326,9 +305,7 @@ def classify(inv: Invariants, mode: str, sf: Optional[StructureFunctions] = None
     if chiz is Tri.UNKNOWN:
         return Classification("Undecided", scope, {})
     if chiz is Tri.TRUE:
-        if sf is None or ctx is None:
-            return Classification("NullKernelCase", scope, {})
-        kernel = null_kernel_bundle(sf, ctx)
+        kernel = null_kernel_bundle(ctx)
         return Classification(
             "NullKernelCase", scope,
             {"direction": kernel.direction, "coefficients": kernel.coefficients},
@@ -380,7 +357,7 @@ def verify_normalizing_theta(ctx, theta: Expr) -> ThetaReport:
     that the rotated frame realizes the constant-bracket normal form
     [Y1,X0] = -kappa Y2, [Y2,X0] = -kappa Y1, [Y2,Y1] = X0."""
     sf = ctx.sf
-    kappa = _require_h_tilde_zero(sf, ctx)
+    kappa = _require_h_tilde_zero(ctx)
     c = sf.c021
     residuals = (
         ctx.derive(1, theta) - sf.c121,

@@ -19,12 +19,7 @@ import sympy as sp
 
 from .errors import BracketPatternViolation, UnknownCatalogName
 from .expr import Chart, Expr, Tri, all_zero
-from .invariants import (
-    ConstantContext,
-    Invariants,
-    StructureFunctions,
-    compute_invariants,
-)
+from .invariants import ConstantContext, Invariants, StructureFunctions
 
 PARAM_CHART = Chart((), ("kappa",))
 
@@ -287,8 +282,7 @@ def structure_functions_of_marking(L: LieAlgebra, marking: tuple[int, int, int])
 
 def constant_mode_invariants(L: LieAlgebra, marking: tuple[int, int, int]) -> tuple[StructureFunctions, Invariants]:
     sf = structure_functions_of_marking(L, marking)
-    ctx = ConstantContext(sf, L.chart)
-    return sf, compute_invariants(sf, ctx)
+    return sf, ConstantContext(sf, L.chart).inv
 
 
 # -- dualization ----------------------------------------------------------------
@@ -323,7 +317,7 @@ def dualize_structure_equations(
 # -- catalog --------------------------------------------------------------------
 
 
-CATALOG_NAMES = ("heisenberg", "sl2_e", "sl2_n", "sl2_f", "isometry4", "conformal8")
+ALGEBRA_NAMES = ("heisenberg", "sl2_e", "sl2_n", "sl2_f", "isometry4", "conformal8")
 
 
 def catalog_algebra(name: str, kappa: Optional[Expr] = None) -> LieAlgebra:

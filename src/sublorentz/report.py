@@ -8,33 +8,28 @@ JSON output is byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from . import expr as ex
-from .calculus import VectorField
 from .contact import Frame, apparatus_checks, build_apparatus
-from .errors import EngineError, HTildeNonzero
-from .expr import Chart, Expr, Tri
+from .errors import EngineError
+from .expr import Expr, Tri
 from .invariants import (
     ConstantContext,
     CoordinateContext,
     Invariants,
     StructureFunctions,
     classify,
-    compute_invariants,
     dilate,
     eta_check,
     hyperbolic_rotate,
-    lift_frame,
-    rotation_matrix,
 )
 from .lie_algebra import (
     catalog_algebra,
     catalog_marking,
-    constant_mode_invariants,
     jacobi_check,
     killing_form,
+    structure_functions_of_marking,
 )
 from .ode_bridge import build_from_ode, verify_null_bundles
 from .parsing import StructureDefinition, render_expr, render_field
@@ -56,13 +51,43 @@ def _status(checks: dict[str, str]) -> str:
     return "pass"
 
 
-def _render_matrix2(m) -> list[list[str]]:
+def _report(command: str, input_block: dict, body: dict, checks: dict[str, str]) -> dict:
+    """The scaffold every report shares: header, body blocks, checks, status."""
+    report = {"report_version": REPORT_VERSION, "command": command, "input": input_block}
+    report.update(body)
+    report["checks"] = checks
+    report["status"] = _status(checks)
+    return report
+
+
+def _input_block(defn: StructureDefinition) -> dict:
+    return {"source": defn.source_name, "mode": defn.mode}
+
+
+# -- blocks over a frame context ------------------------------------------------
+
+
+def _frame_context(frame: Frame) -> CoordinateContext:
+    return CoordinateContext(build_apparatus(frame))
+
+
+def _definition_context(defn: StructureDefinition):
+    if defn.mode == "frame":
+        return _frame_context(Frame(defn.chart, defn.x1, defn.x2))
+    return ConstantContext(StructureFunctions(**defn.structure_constants), defn.chart)
+
+
+def _render_matrix(m) -> list[list[str]]:
     return [[render_expr(e) for e in row] for row in m]
+
+
+def _frame_block(frame: Frame) -> dict:
+    return {"X1": render_field(frame.x1), "X2": render_field(frame.x2)}
 
 
 def _invariants_block(inv: Invariants) -> dict:
     return {
-        "h_tilde": _render_matrix2(inv.h_tilde),
+        "h_tilde": _render_matrix(inv.h_tilde),
         "chi": render_expr(inv.chi),
         "kappa": render_expr(inv.kappa),
     }
@@ -75,23 +100,42 @@ def _classification_block(c) -> dict:
     return {"label": c.label, "scope": c.scope, "witness": witness}
 
 
-def _sf_block(sf: StructureFunctions) -> dict:
-    return {k: render_expr(v) for k, v in sf.as_dict().items()}
+def _analysis_blocks(ctx) -> dict:
+    """Frame and apparatus (coordinate frames only), structure functions,
+    invariants and classification."""
+    blocks = {}
+    if ctx.mode == "frame":
+        app = ctx.apparatus
+        blocks["frame"] = _frame_block(app.frame)
+        blocks["apparatus"] = {
+            "omega": [render_expr(c) for c in app.omega.components],
+            "reeb_field": render_field(app.x0),
+            "coframe": [[render_expr(c) for c in f.components] for f in app.coframe],
+            "contact_locus": render_expr(app.contact_det),
+            "excluded_loci": [render_expr(e) for e in app.excluded],
+        }
+    blocks["structure_functions"] = {k: render_expr(v) for k, v in ctx.sf.as_dict().items()}
+    blocks["invariants"] = _invariants_block(ctx.inv)
+    blocks["classification"] = _classification_block(classify(ctx))
+    return blocks
 
 
-def _identity_checks(ctx, checks: dict[str, str]):
-    """Trace identity always; eta-closure and codifferential identities when
-    h_tilde vanishes (skipped otherwise: they are defined only in that case)."""
+def _checks(ctx) -> dict[str, str]:
+    """Apparatus identities (coordinate frames only), the trace identity, and
+    the eta-closure and codifferential identities when h_tilde vanishes
+    (skipped otherwise: they are defined only in that case)."""
     sf = ctx.sf
+    checks: dict[str, str] = {}
+    if ctx.mode == "frame":
+        checks = {name: tri_word(v) for name, v in apparatus_checks(ctx.apparatus).items()}
     checks["trace_identity"] = tri_word((sf.c011 + sf.c022).is_zero())
-    inv = compute_invariants(sf, ctx)
-    ht = inv.h_tilde_is_zero()
-    if ht is Tri.TRUE:
+    if ctx.inv.h_tilde_is_zero() is Tri.TRUE:
         report = eta_check(ctx)
         checks["eta_closure"] = tri_word(ex.all_zero(report.closure_residuals))
         checks["codifferential_identities"] = tri_word(
             ex.all_zero(report.codifferential_residuals)
         )
+    return checks
 
 
 def _symmetry_entries(app, fields) -> list[dict]:
@@ -116,82 +160,23 @@ def _symmetry_entries(app, fields) -> list[dict]:
     return out
 
 
-def analyze_definition(defn: StructureDefinition, command: str = "analyze") -> dict:
-    if defn.mode == "frame":
-        return _analyze_frame(defn, command)
-    return _analyze_algebra(defn, command)
+# -- reports --------------------------------------------------------------------
 
 
-def _frame_blocks(frame: Frame, *, symmetry_fields=()) -> tuple[dict, dict, CoordinateContext]:
-    app = build_apparatus(frame)
-    ctx = CoordinateContext(app)
-    sf = ctx.sf
-    inv = compute_invariants(sf, ctx)
-    checks = {name: tri_word(v) for name, v in apparatus_checks(app).items()}
-    _identity_checks(ctx, checks)
-    blocks = {
-        "frame": {"X1": render_field(frame.x1), "X2": render_field(frame.x2)},
-        "apparatus": {
-            "omega": [render_expr(c) for c in app.omega.components],
-            "reeb_field": render_field(app.x0),
-            "coframe": [[render_expr(c) for c in f.components] for f in app.coframe],
-            "contact_locus": render_expr(app.contact_det),
-            "excluded_loci": [render_expr(e) for e in app.excluded],
-        },
-        "structure_functions": _sf_block(sf),
-        "invariants": _invariants_block(inv),
-        "classification": _classification_block(classify(inv, "frame", sf, ctx)),
-    }
-    if symmetry_fields:
-        blocks["symmetry"] = _symmetry_entries(app, symmetry_fields)
-    return blocks, checks, ctx
+def _analysis(defn: StructureDefinition) -> tuple[dict, dict[str, str]]:
+    """Body and checks of the full pipeline on a structure definition."""
+    ctx = _definition_context(defn)
+    checks = _checks(ctx)
+    body = {"chart": {"coords": list(defn.chart.coords), "params": list(defn.chart.params)}}
+    body.update(_analysis_blocks(ctx))
+    if defn.symmetry_fields:
+        body["symmetry"] = _symmetry_entries(ctx.apparatus, defn.symmetry_fields)
+    return body, checks
 
 
-def _analyze_frame(defn: StructureDefinition, command: str) -> dict:
-    frame = Frame(defn.chart, defn.x1, defn.x2)
-    blocks, checks, _ = _frame_blocks(frame, symmetry_fields=defn.symmetry_fields)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": command,
-        "input": {"source": defn.source_name, "mode": "frame"},
-        "chart": {"coords": list(defn.chart.coords), "params": list(defn.chart.params)},
-    }
-    report.update(blocks)
-    report["checks"] = checks
-    report["status"] = _status(checks)
-    return report
-
-
-def _analyze_algebra(defn: StructureDefinition, command: str) -> dict:
-    sf = StructureFunctions(**defn.structure_constants)
-    ctx = ConstantContext(sf, defn.chart)
-    inv = compute_invariants(sf, ctx)
-    checks: dict[str, str] = {}
-    _identity_checks(ctx, checks)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": command,
-        "input": {"source": defn.source_name, "mode": "algebra"},
-        "chart": {"coords": list(defn.chart.coords), "params": list(defn.chart.params)},
-        "structure_functions": _sf_block(sf),
-        "invariants": _invariants_block(inv),
-        "classification": _classification_block(classify(inv, "algebra", sf, ctx)),
-        "checks": checks,
-    }
-    report["status"] = _status(checks)
-    return report
-
-
-def classify_report(defn: StructureDefinition) -> dict:
-    full = analyze_definition(defn, command="classify")
-    keep = ("report_version", "command", "input", "invariants", "classification",
-            "checks", "status")
-    out = {k: full[k] for k in keep if k in full}
-    label = out["classification"]["label"]
-    if label == "Undecided":
-        out["checks"] = dict(out["checks"], classification_decided="indeterminate")
-        out["status"] = _status(out["checks"])
-    return out
+def analyze_definition(defn: StructureDefinition) -> dict:
+    body, checks = _analysis(defn)
+    return _report("analyze", _input_block(defn), body, checks)
 
 
 def symmetry_report(defn: StructureDefinition) -> dict:
@@ -199,48 +184,50 @@ def symmetry_report(defn: StructureDefinition) -> dict:
         raise EngineError("the symmetry command requires a coordinate frame")
     if not defn.symmetry_fields:
         raise EngineError("the structure file has no [symmetry] section")
-    full = analyze_definition(defn, command="symmetry")
-    checks = dict(full["checks"])
-    for entry in full["symmetry"]:
+    body, checks = _analysis(defn)
+    for entry in body["symmetry"]:
         checks[f"symmetry_{entry['name']}_decided"] = (
             "indeterminate" if entry["verdict"] == "unknown" else "pass"
         )
-    full["checks"] = checks
-    full["status"] = _status(checks)
-    return full
+    return _report("symmetry", _input_block(defn), body, checks)
+
+
+def classify_report(defn: StructureDefinition) -> dict:
+    ctx = _definition_context(defn)
+    checks = _checks(ctx)
+    classification = classify(ctx)
+    if classification.label == "Undecided":
+        checks["classification_decided"] = "indeterminate"
+    body = {
+        "invariants": _invariants_block(ctx.inv),
+        "classification": _classification_block(classification),
+    }
+    return _report("classify", _input_block(defn), body, checks)
 
 
 def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
     if defn.mode != "frame":
         raise EngineError("rotation requires a coordinate frame")
     frame = Frame(defn.chart, defn.x1, defn.x2)
-    blocks, checks, ctx = _frame_blocks(frame)
-    inv = compute_invariants(ctx.sf, ctx)
-
+    inv = _frame_context(frame).inv
     rotated = hyperbolic_rotate(frame, theta)
-    rblocks, rchecks, rctx = _frame_blocks(rotated)
-    rinv = compute_invariants(rctx.sf, rctx)
+    rctx = _frame_context(rotated)
 
-    checks = {f"rotated:{k}": v for k, v in rchecks.items()}
+    checks = {f"rotated:{k}": v for k, v in _checks(rctx).items()}
+    rinv = rctx.inv
     checks["kappa_invariant"] = tri_word((rinv.kappa - inv.kappa).is_zero())
     checks["chi_invariant"] = tri_word((rinv.chi - inv.chi).is_zero())
     checks["h_tilde_conjugation"] = tri_word(
         ex.all_zero(_conjugation_residuals(inv, rinv, theta))
     )
-
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "rotate",
-        "input": {"source": defn.source_name, "mode": "frame"},
+    body = {
         "theta": render_expr(theta),
-        "frame": blocks["frame"],
-        "rotated_frame": rblocks["frame"],
-        "invariants": blocks["invariants"],
-        "rotated_invariants": rblocks["invariants"],
-        "checks": checks,
+        "frame": _frame_block(frame),
+        "rotated_frame": _frame_block(rotated),
+        "invariants": _invariants_block(inv),
+        "rotated_invariants": _invariants_block(rinv),
     }
-    report["status"] = _status(checks)
-    return report
+    return _report("rotate", _input_block(defn), body, checks)
 
 
 def _conjugation_residuals(inv: Invariants, rinv: Invariants, theta: Expr) -> list[Expr]:
@@ -259,17 +246,15 @@ def dilate_report(defn: StructureDefinition, scale: str) -> dict:
     if defn.mode != "frame":
         raise EngineError("dilation requires a coordinate frame")
     frame = Frame(defn.chart, defn.x1, defn.x2)
-    blocks, _, ctx = _frame_blocks(frame)
-    inv = compute_invariants(ctx.sf, ctx)
-
+    inv = _frame_context(frame).inv
     dilated = dilate(frame, scale)
     chart2 = dilated.chart
     s = chart2.var(scale)
-    dblocks, dchecks, dctx = _frame_blocks(dilated)
-    dinv = compute_invariants(dctx.sf, dctx)
+    dctx = _frame_context(dilated)
 
     lift = lambda e: Expr(chart2, e.sym)  # noqa: E731  (same symbols, wider chart)
-    checks = {f"dilated:{k}": v for k, v in dchecks.items()}
+    checks = {f"dilated:{k}": v for k, v in _checks(dctx).items()}
+    dinv = dctx.inv
     # c12' = s c12 but c0j' = s^2 c0j (the Reeb field rescales by s^2), hence
     # kappa' = s^2 kappa while chi' = s^4 chi and h_tilde' = s^2 h_tilde.
     s2 = s * s
@@ -280,28 +265,17 @@ def dilate_report(defn: StructureDefinition, scale: str) -> dict:
         for i in range(2) for j in range(2)
     ]
     checks["h_tilde_scaling_s2"] = tri_word(ex.all_zero(h_resid))
-
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "dilate",
-        "input": {"source": defn.source_name, "mode": "frame"},
+    body = {
         "scale": scale,
-        "invariants": blocks["invariants"],
-        "dilated_invariants": dblocks["invariants"],
-        "checks": checks,
+        "invariants": _invariants_block(inv),
+        "dilated_invariants": _invariants_block(dinv),
     }
-    report["status"] = _status(checks)
-    return report
+    return _report("dilate", _input_block(defn), body, checks)
 
 
-def algebra_report(name: str, kappa: Optional[Fraction] = None) -> dict:
-    if kappa is None:
-        algebra = catalog_algebra(name)
-    else:
-        chart = Chart((), ())
-        algebra = catalog_algebra(name, kappa=chart.number(kappa))
-    checks: dict[str, str] = {}
-    checks["jacobi"] = tri_word(jacobi_check(algebra))
+def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
+    algebra = catalog_algebra(name, kappa=kappa)
+    checks = {"jacobi": tri_word(jacobi_check(algebra))}
     killing = killing_form(algebra)
     brackets = {}
     for i, j, vec in algebra.nonzero_brackets():
@@ -317,10 +291,7 @@ def algebra_report(name: str, kappa: Optional[Fraction] = None) -> dict:
             else:
                 terms.append(f"({text})*{algebra.labels[k]}")
         brackets[f"[{algebra.labels[i]},{algebra.labels[j]}]"] = " + ".join(terms).replace("+ -", "- ")
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "algebra",
-        "input": {"source": f"catalog:{name}", "mode": "algebra"},
+    body = {
         "algebra": {
             "name": name,
             "dimension": algebra.dim,
@@ -328,33 +299,25 @@ def algebra_report(name: str, kappa: Optional[Fraction] = None) -> dict:
             "brackets": brackets,
         },
         "killing": {
-            "matrix": [[render_expr(e) for e in row] for row in killing.matrix],
+            "matrix": _render_matrix(killing.matrix),
             "det": render_expr(killing.det),
             "signature": list(killing.signature) if killing.signature else None,
         },
     }
     marking = catalog_marking(name)
     if marking is not None:
-        sf, inv = constant_mode_invariants(algebra, marking)
-        ctx = ConstantContext(sf, algebra.chart)
-        report["structure_functions"] = _sf_block(sf)
-        report["invariants"] = _invariants_block(inv)
-        report["classification"] = _classification_block(classify(inv, "algebra", sf, ctx))
-        _identity_checks(ctx, checks)
-    report["checks"] = checks
-    report["status"] = _status(checks)
-    return report
+        ctx = ConstantContext(structure_functions_of_marking(algebra, marking), algebra.chart)
+        body.update(_analysis_blocks(ctx))
+        checks.update(_checks(ctx))
+    return _report("algebra", {"source": f"catalog:{name}", "mode": "algebra"}, body, checks)
 
 
 def ode_report(q: Expr) -> dict:
     structure = build_from_ode(q)
-    null_checks = {k: tri_word(v) for k, v in verify_null_bundles(structure).items()}
-    blocks, checks, _ = _frame_blocks(structure.frame)
-    checks = dict(null_checks, **checks)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "ode",
-        "input": {"source": "ode", "mode": "frame"},
+    checks = {k: tri_word(v) for k, v in verify_null_bundles(structure).items()}
+    ctx = _frame_context(structure.frame)
+    checks.update(_checks(ctx))
+    body = {
         "Q": render_expr(q),
         "one_forms": {
             "w1": [render_expr(c) for c in structure.omega1.components],
@@ -366,10 +329,8 @@ def ode_report(q: Expr) -> dict:
             "N2": render_field(structure.n2),
         },
     }
-    report.update(blocks)
-    report["checks"] = checks
-    report["status"] = _status(checks)
-    return report
+    body.update(_analysis_blocks(ctx))
+    return _report("ode", {"source": "ode", "mode": "frame"}, body, checks)
 
 
 # -- output ------------------------------------------------------------------

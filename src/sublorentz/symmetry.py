@@ -21,7 +21,7 @@ import sympy as sp
 
 from .calculus import VectorField, det3, evaluate, invert3, lie_bracket
 from .contact import ContactApparatus
-from .errors import DistributionNotPreserved, IndeterminateDomain
+from .errors import DistributionNotPreserved
 from .expr import Chart, Expr, Tri, all_zero
 from .invariants import METRIC_DIAG, StructureFunctions
 
@@ -52,24 +52,32 @@ def restricted_lie_derivative(Z: VectorField, app: ContactApparatus,
         raise ValueError("order must be >= 1")
     if preserves_distribution(Z, app) is not Tri.TRUE:
         raise DistributionNotPreserved("Z does not preserve the distribution")
-    chart = app.chart
+    return _lie_derivative(Z, app, order)
+
+
+def _lie_derivative(Z: VectorField, app: ContactApparatus, order: int) -> Matrix2:
     x = app.frame.fields
     ad = [
         _horizontal_parts(app, lie_bracket(Z, x[0])),
         _horizontal_parts(app, lie_bracket(Z, x[1])),
     ]
-    g0 = chart.number(METRIC_DIAG[0])
-    g1 = chart.number(METRIC_DIAG[1])
-    zero = chart.zero()
-    t: Matrix2 = ((g0, zero), (zero, g1))
+    t = _metric(app.chart)
     for _ in range(order):
         t = _lie_step(Z, t, ad)
     return t
 
 
-def _lie_step(Z: VectorField, t: Matrix2, ad) -> Matrix2:
+def _metric(chart: Chart) -> Matrix2:
+    zero = chart.zero()
+    return ((chart.number(METRIC_DIAG[0]), zero), (zero, chart.number(METRIC_DIAG[1])))
+
+
+def _lie_step(derive, t: Matrix2, ad) -> Matrix2:
+    """One restricted Lie derivative of the matrix t along a field whose
+    derivation on scalars is `derive` and whose brackets with (X1, X2) have
+    frame coefficients `ad`."""
     def entry(i: int, j: int) -> Expr:
-        lead = Z(t[i][j])
+        lead = derive(t[i][j])
         ai, bi = ad[i]
         aj, bj = ad[j]
         return lead - (ai * t[0][j] + bi * t[1][j]) - (aj * t[i][0] + bj * t[i][1])
@@ -83,18 +91,10 @@ def _lie_step(Z: VectorField, t: Matrix2, ad) -> Matrix2:
 def reeb_lie_derivative(sf: StructureFunctions, chart: Chart) -> Matrix2:
     """Restricted Lie derivative along the Reeb field from structure functions
     alone: an independent route valid in both coordinate and constant modes
-    (ad_X0 Xi = -(c0i^1 X1 + c0i^2 X2))."""
-    zero = chart.zero()
-    g = ((chart.number(-1), zero), (zero, chart.one()))
+    (ad_X0 Xi = -(c0i^1 X1 + c0i^2 X2)).  The metric entries are constant, so
+    their derivative along X0 is zero."""
     ad = [(-sf.c011, -sf.c012), (-sf.c021, -sf.c022)]
-
-    def entry(i, j):
-        ai, bi = ad[i]
-        aj, bj = ad[j]
-        return -(ai * g[0][j] + bi * g[1][j]) - (aj * g[i][0] + bj * g[i][1])
-
-    e00, e01, e11 = entry(0, 0), entry(0, 1), entry(1, 1)
-    return ((e00, e01), (e01, e11))
+    return _lie_step(lambda f: chart.zero(), _metric(chart), ad)
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def conformal_factor(Z: VectorField, app: ContactApparatus) -> SymmetryVerdict:
     pres = preserves_distribution(Z, app)
     if pres is Tri.FALSE:
         raise DistributionNotPreserved("Z does not preserve the distribution")
+    L = _lie_derivative(Z, app, 1)
     if pres is Tri.UNKNOWN:
-        return SymmetryVerdict("unknown", None, restricted_lie_derivative_unchecked(Z, app))
-    L = restricted_lie_derivative(Z, app)
+        return SymmetryVerdict("unknown", None, L)
     off = L[0][1].is_zero()
     trace = (L[0][0] + L[1][1]).is_zero()
     if off is Tri.FALSE or trace is Tri.FALSE:
@@ -128,21 +128,11 @@ def conformal_factor(Z: VectorField, app: ContactApparatus) -> SymmetryVerdict:
     return SymmetryVerdict("unknown", mu, L)
 
 
-def restricted_lie_derivative_unchecked(Z: VectorField, app: ContactApparatus) -> Matrix2:
-    chart = app.chart
-    x = app.frame.fields
-    ad = [
-        (evaluate(app.nu1, [lie_bracket(Z, x[0])]), evaluate(app.nu2, [lie_bracket(Z, x[0])])),
-        (evaluate(app.nu1, [lie_bracket(Z, x[1])]), evaluate(app.nu2, [lie_bracket(Z, x[1])])),
-    ]
-    zero = chart.zero()
-    t: Matrix2 = ((chart.number(-1), zero), (zero, chart.one()))
-    return _lie_step(Z, t, ad)
-
-
 def binomial_identity_check(Z: VectorField, app: ContactApparatus, n: int) -> tuple[Expr, Expr, Expr]:
     """Residuals of sum_k C(n,k) g(ad_Z^k X, ad_Z^{n-k} Y) for the pairs
-    (X1,X1), (X1,X2), (X2,X2); all vanish for conformal fields."""
+    (X1,X1), (X1,X2), (X2,X2).  They all vanish for isometries.  For a
+    conformal field they are the flow derivatives of mu*g, for example
+    (-2)^n g for the weighted dilation of the Heisenberg frame."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if preserves_distribution(Z, app) is not Tri.TRUE:

@@ -114,7 +114,7 @@ def test_criterion_02_heisenberg_golden(heisenberg_frame):
 
     zero_sf = StructureFunctions(*[KCH.zero()] * 6)
     abstract = ConstantContext(zero_sf, KCH)
-    label = classify(compute_invariants(zero_sf, abstract), "algebra", zero_sf, abstract)
+    label = classify(abstract)
     ok &= label.label == "Heisenberg" and label.scope == "group"
     assert verdict("criterion 2: flat group fixture all-zero invariants", bool(ok))
 
@@ -128,7 +128,7 @@ def test_criterion_03_sl2_fixtures():
     ok = tri_ok(inv_e.h_tilde_is_zero())
     ok &= inv_e.kappa == KAPPA
     ctx = ConstantContext(sf_e, e.chart)
-    ok &= classify(inv_e, "algebra", sf_e, ctx).label == "SL2Cover"
+    ok &= classify(ctx).label == "SL2Cover"
 
     n = catalog_algebra("sl2_n")
     sf_n, inv_n = constant_mode_invariants(n, catalog_marking("sl2_n"))
@@ -154,7 +154,7 @@ def test_criterion_04a_conformal_dualization_jacobi_inertia():
     data = killing_form(L)
     quoted = _quoted_conformal_killing()
     ok &= exact_inertia(quoted) == data.signature == (5, 3, 0)
-    ok &= tri_ok(data.det.is_zero()) is False and data.det.is_rational_constant()
+    ok &= data.det.is_zero() is Tri.FALSE and data.det.is_rational_constant()
     assert verdict("criterion 4a: conformal coframe dual algebra "
                    "(dim 8, Jacobi, inertia matches the quoted matrix)", bool(ok))
 
@@ -471,9 +471,9 @@ def test_criterion_09_ode_bridge():
         checks = verify_null_bundles(s)
         assert all(tri_ok(v) for v in checks.values()), render_expr(q)
         ctx = CoordinateContext(build_apparatus(s.frame))
-        inv = compute_invariants(ctx.sf, ctx)
+        inv = ctx.inv
         assert inv.chi is not None and inv.kappa is not None
-        classify(inv, "frame", ctx.sf, ctx)
+        classify(ctx)
     assert verdict("criterion 9: ODE conformal-class pipeline on the three "
                    "reference equations", True)
 

@@ -1,10 +1,16 @@
 """CLI: golden report values, byte-determinism, exit codes."""
 
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
+from sublorentz import invariants, lie_algebra
+from sublorentz import report as report_module
 from sublorentz.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +133,19 @@ class TestAlgebraCommand:
         assert report["invariants"]["kappa"] == "3"
         assert report["killing"]["signature"] == [2, 1, 0]
 
+    def test_sl2_e_fraction_kappa(self, capsys):
+        code, report, _ = run_json(capsys, "algebra", "sl2_e", "--kappa", "1/2")
+        assert code == 0
+        assert report["invariants"]["kappa"] == "1/2"
+
+    @pytest.mark.parametrize("kappa", ["1.5", "1e3", "x", "exp(1)"])
+    def test_kappa_must_be_rational(self, capsys, kappa):
+        code, out, err = run_cli(capsys, "algebra", "sl2_e", "--kappa", kappa)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_heisenberg_label(self, capsys):
         code, report, _ = run_json(capsys, "algebra", "heisenberg")
         assert code == 0
@@ -182,3 +201,41 @@ class TestCatalogAndErrors:
         assert code == 0
         assert report["classification"]["label"] == "NullKernelCase"
         assert report["classification"]["witness"]["direction"] == "X1-X2"
+
+
+class TestOneComputePerContext:
+    """Each report computes the invariants once per frame context: once for
+    one frame, twice for a frame and its rotated or dilated image."""
+
+    @pytest.mark.parametrize("argv, computes", [
+        (["analyze", "martinet"], 1),
+        (["rotate", "heisenberg", "--theta", "x*y"], 2),
+        (["dilate", "martinet", "--scale", "s"], 2),
+        (["algebra", "sl2_e"], 1),
+        (["classify", "sl2_n"], 1),
+    ])
+    def test_compute_invariants_calls(self, capsys, monkeypatch, argv, computes):
+        original = invariants.compute_invariants
+        calls = []
+
+        def counting(sf, ctx):
+            calls.append(ctx)
+            return original(sf, ctx)
+
+        for module in (invariants, report_module, lie_algebra):
+            if hasattr(module, "compute_invariants"):
+                monkeypatch.setattr(module, "compute_invariants", counting)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == computes
+
+
+class TestReproduceScript:
+    def test_flat_examples(self, capsys):
+        runpy.run_path(str(ROOT / "scripts" / "reproduce_flat_examples.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        martinet = out.split("== martinet ==")[1].split("\n==")[0]
+        assert "chi        : 1/(4*y^4)" in martinet
+        assert "kappa      : -5/(2*y^2)" in martinet
+        conformal8 = out.split("== algebra conformal8")[1].split("\n==")[0]
+        assert "killing det: -2239488" in conformal8

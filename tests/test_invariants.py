@@ -133,20 +133,20 @@ class TestEtaCheck:
 class TestNullKernel:
     def test_case_minus(self):
         sf = const_sf(c011="1", c022="-1", c021="1", c012="-1")
-        out = null_kernel_bundle(sf, ConstantContext(sf, KCH))
+        out = null_kernel_bundle(ConstantContext(sf, KCH))
         assert out.direction == "X1-X2"
         assert out.coefficients == (1, -1)
 
     def test_case_plus(self):
         sf = const_sf(c011="1", c022="-1", c021="-1", c012="1")
-        out = null_kernel_bundle(sf, ConstantContext(sf, KCH))
+        out = null_kernel_bundle(ConstantContext(sf, KCH))
         assert out.direction == "X1+X2"
 
     def test_kernel_direction_is_annihilated(self):
         sf = const_sf(c011="1", c022="-1", c021="1", c012="-1")
         ctx = ConstantContext(sf, KCH)
         inv = compute_invariants(sf, ctx)
-        out = null_kernel_bundle(sf, ctx)
+        out = null_kernel_bundle(ctx)
         a, b = out.coefficients
         for i in range(2):
             image = inv.h_tilde[i][0] * a + inv.h_tilde[i][1] * b
@@ -155,13 +155,13 @@ class TestNullKernel:
         assert -a * a + b * b == 0
 
     def test_h_tilde_zero_gives_none(self):
-        out = null_kernel_bundle(HEIS, ConstantContext(HEIS, KCH))
+        out = null_kernel_bundle(ConstantContext(HEIS, KCH))
         assert out.direction is None
         assert "vanishes" in out.reason
 
     def test_chi_nonzero_gives_none(self, martinet_frame):
         ctx = CoordinateContext(build_apparatus(martinet_frame))
-        out = null_kernel_bundle(ctx.sf, ctx)
+        out = null_kernel_bundle(ctx)
         assert out.direction is None
 
 
@@ -237,8 +237,7 @@ class TestDilation:
 class TestClassification:
     def test_heisenberg_group_label(self):
         ctx = ConstantContext(HEIS, KCH)
-        inv = compute_invariants(HEIS, ctx)
-        got = classify(inv, "algebra", HEIS, ctx)
+        got = classify(ctx)
         assert got.label == "Heisenberg"
         assert got.scope == "group"
 
@@ -249,21 +248,18 @@ class TestClassification:
             c022=chart.zero(), c121=chart.zero(), c122=chart.zero(),
         )
         ctx = ConstantContext(sf, chart)
-        inv = compute_invariants(sf, ctx)
-        assert classify(inv, "algebra", sf, ctx).label == "SL2Cover"
+        assert classify(ctx).label == "SL2Cover"
 
     def test_martinet_pointwise_generic(self, martinet_frame):
         ctx = CoordinateContext(build_apparatus(martinet_frame))
-        inv = compute_invariants(ctx.sf, ctx)
-        got = classify(inv, "frame", ctx.sf, ctx)
+        got = classify(ctx)
         assert got.label == "Generic"
         assert got.scope == "pointwise"
 
     def test_null_kernel_label_with_witness(self):
         sf = const_sf(c011="1", c022="-1", c021="1", c012="-1")
         ctx = ConstantContext(sf, KCH)
-        inv = compute_invariants(sf, ctx)
-        got = classify(inv, "algebra", sf, ctx)
+        got = classify(ctx)
         assert got.label == "NullKernelCase"
         assert got.witness["direction"] == "X1-X2"
 

@@ -80,7 +80,7 @@ class TestInvariantsPipeline:
         assert inv.h_tilde_is_zero() is Tri.TRUE
         assert render_expr(inv.chi) == "0"
         assert render_expr(inv.kappa) == "0"
-        got = classify(inv, "frame", ctx.sf, ctx)
+        got = classify(ctx)
         assert got.label == "Heisenberg"
         assert got.scope == "pointwise"
 
@@ -89,7 +89,7 @@ class TestInvariantsPipeline:
         ctx = CoordinateContext(build_apparatus(s.frame))
         inv = compute_invariants(ctx.sf, ctx)
         assert inv.kappa is not None
-        got = classify(inv, "frame", ctx.sf, ctx)
+        got = classify(ctx)
         assert got.label in ("NullKernelCase", "Generic", "Undecided")
 
     def test_xp_example_completes(self):
