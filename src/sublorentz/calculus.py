@@ -200,10 +200,6 @@ def evaluate(form: DifferentialForm, fields: Sequence[VectorField]) -> Expr:
 # -- small exact linear algebra ----------------------------------------------
 
 
-def det2(m) -> Expr:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def det3(rows) -> Expr:
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -218,18 +214,17 @@ def adjugate3(rows):
     )
 
 
-def solve3(rows, rhs, *, strict: bool = True):
+def solve3(rows, rhs):
     """Solve a 3x3 linear system exactly.
 
-    With strict=True a canonically-zero determinant raises DegenerateFrame and
-    an undecidable one raises IndeterminateDomain; otherwise division by an
-    undecided determinant is allowed (field-of-fractions semantics).
+    A canonically-zero determinant raises DegenerateFrame and an undecidable
+    one raises IndeterminateDomain.
     """
     det = det3(rows)
     z = det.is_zero()
     if z is Tri.TRUE:
         raise DegenerateFrame("singular linear system")
-    if strict and z is Tri.UNKNOWN:
+    if z is Tri.UNKNOWN:
         raise IndeterminateDomain("cannot decide invertibility of the system")
     adj = adjugate3(rows)
     return tuple(

@@ -21,6 +21,7 @@ from .report import (
     algebra_report,
     analyze_definition,
     classify_report,
+    coordinate_frame,
     dilate_report,
     ode_report,
     rotate_report,
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
         if args.command == "symmetry":
             return _emit(symmetry_report(defn), args.format)
         if args.command == "rotate":
-            theta = parse_expr(args.theta, defn.chart)
+            theta = parse_expr(args.theta, coordinate_frame(defn, "rotation").chart)
             return _emit(rotate_report(defn, theta), args.format)
         if args.command == "dilate":
             return _emit(dilate_report(defn, args.scale), args.format)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy as sp
-
 from .calculus import (
     DifferentialForm,
     VectorField,
@@ -27,7 +25,7 @@ from .calculus import (
     solve3,
     wedge,
 )
-from .expr import Chart, Expr, Tri
+from .expr import Chart, Expr, Tri, vanishing_loci
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def normalized_contact_form(frame: Frame) -> DifferentialForm:
     bracket = lie_bracket(frame.x2, frame.x1)
     rows = [frame.x1.components, frame.x2.components, bracket.components]
     rhs = (chart.zero(), chart.zero(), chart.one())
-    w = solve3(rows, rhs, strict=True)
+    w = solve3(rows, rhs)
     return one_form(chart, *w)
 
 
@@ -101,29 +99,6 @@ def dual_coframe(x0: VectorField, x1: VectorField, x2: VectorField):
     )
 
 
-def _vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
-    """Irreducible factors whose zero sets were excluded along the way."""
-    seen: list[sp.Expr] = []
-    for e in exprs:
-        num, den = e.sym.as_numer_denom()
-        for poly in (num, den):
-            if poly.is_Rational:
-                continue
-            try:
-                _, factors = sp.factor_list(poly)
-            except sp.PolynomialError:
-                factors = [(poly, 1)]
-            for fac, _mult in factors:
-                if fac.is_Rational:
-                    continue
-                fac = sp.expand(fac)
-                if any(sp.expand(fac - s) == 0 or sp.expand(fac + s) == 0 for s in seen):
-                    continue
-                seen.append(fac)
-    ordered = sorted(seen, key=sp.default_sort_key)
-    return tuple(Expr(chart, f) for f in ordered)
-
-
 def build_apparatus(frame: Frame) -> ContactApparatus:
     chart = frame.chart
     det = contact_locus(frame)
@@ -133,8 +108,8 @@ def build_apparatus(frame: Frame) -> ContactApparatus:
     component_exprs = list(omega.components) + list(x0.components)
     for f in (nu0, nu1, nu2):
         component_exprs.extend(f.components)
-    denominators = [Expr(chart, c.sym.as_numer_denom()[1]) for c in component_exprs]
-    excluded = _vanishing_loci(chart, [det] + denominators)
+    denominators = [c.denominator() for c in component_exprs]
+    excluded = vanishing_loci(chart, [det] + denominators)
     return ContactApparatus(frame, omega, x0, nu0, nu1, nu2, det, excluded)
 
 

@@ -8,8 +8,9 @@ built-in transcendental relation cosh(u)^2 = 1 + sinh(u)^2 is applied as a
 confluent rewrite that eliminates cosh powers >= 2.
 
 No floating point is admitted anywhere; coefficients are exact rationals.
-The heavy lifting (polynomial gcd, expansion, differentiation) is delegated
-to sympy, wrapped behind this module's interface.
+The heavy lifting (polynomial gcd, expansion, differentiation, factoring,
+determinants) is delegated to sympy, wrapped behind this module's interface:
+no other module sees the representation, so rendering lives here too.
 """
 
 from __future__ import annotations
@@ -267,9 +268,6 @@ class Expr:
             return Tri.FALSE
         return Tri.UNKNOWN
 
-    def equals(self, other) -> Tri:
-        return (self - other).is_zero()
-
     def is_rational_constant(self) -> bool:
         return self.sym.is_Rational
 
@@ -283,6 +281,16 @@ class Expr:
 
     def has_transcendental(self) -> bool:
         return bool(_transcendental_atoms(self.sym))
+
+    def denominator(self) -> "Expr":
+        """The denominator of the canonical fraction."""
+        return Expr(self.chart, self.sym.as_numer_denom()[1])
+
+    def lift(self, chart: Chart) -> "Expr":
+        """The same value on a chart that declares every name of this one."""
+        if not set(self.chart.names) <= set(chart.names):
+            raise UnknownSymbol("lift target chart does not declare every name")
+        return Expr(chart, self.sym, _canon=True)
 
     # -- calculus -----------------------------------------------------------
 
@@ -384,3 +392,137 @@ def all_zero(exprs: Iterable[Expr]) -> Tri:
         if v is Tri.UNKNOWN:
             verdict = Tri.UNKNOWN
     return verdict
+
+
+# -- determinants and factoring -----------------------------------------------
+
+
+def determinant(rows) -> Expr:
+    """Exact determinant of a square matrix of Exprs on one chart
+    (Berkowitz: division-free)."""
+    n = len(rows)
+    mat = sp.Matrix(n, n, lambda i, j: rows[i][j].sym)
+    return Expr(rows[0][0].chart, mat.det(method="berkowitz"))
+
+
+def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
+    """Irreducible factors whose zero sets were excluded along the way."""
+    seen: list[sp.Expr] = []
+    for e in exprs:
+        num, den = e.sym.as_numer_denom()
+        for poly in (num, den):
+            if poly.is_Rational:
+                continue
+            try:
+                _, factors = sp.factor_list(poly)
+            except sp.PolynomialError:
+                factors = [(poly, 1)]
+            for fac, _mult in factors:
+                if fac.is_Rational:
+                    continue
+                fac = sp.expand(fac)
+                if any(sp.expand(fac - s) == 0 or sp.expand(fac + s) == 0 for s in seen):
+                    continue
+                seen.append(fac)
+    ordered = sorted(seen, key=sp.default_sort_key)
+    return tuple(Expr(chart, f) for f in ordered)
+
+
+# -- rendering ---------------------------------------------------------------
+
+
+def _gen_order(chart: Chart, gens) -> list[sp.Expr]:
+    def key(g):
+        if g.is_Symbol:
+            name = g.name
+            if name in chart.coords:
+                return (0, chart.coords.index(name), "")
+            if name in chart.params:
+                return (1, chart.params.index(name), "")
+            return (2, 0, name)
+        return (3, 0, _render_gen(chart, g))
+
+    return sorted(gens, key=key)
+
+
+def _atomic_gens(chart: Chart, e: sp.Expr) -> list[sp.Expr]:
+    gens = set(e.free_symbols) | set(e.atoms(sp.exp, sp.sinh, sp.cosh, sp.log))
+    return _gen_order(chart, gens)
+
+
+def _render_gen(chart: Chart, g: sp.Expr) -> str:
+    if g.is_Symbol:
+        return g.name
+    fname = {sp.exp: "exp", sp.sinh: "sinh", sp.cosh: "cosh", sp.log: "log"}[g.func]
+    return f"{fname}({_render_sym(chart, g.args[0])})"
+
+
+def _render_polynomial(chart: Chart, e: sp.Expr) -> str:
+    if e.is_Rational:
+        return _render_rational(e)
+    gens = _atomic_gens(chart, e)
+    poly = sp.Poly(e, *gens)
+    terms = sorted(poly.terms(), key=lambda t: tuple(-k for k in t[0]))
+    parts = []
+    for monom, coeff in terms:
+        parts.append(_render_term(chart, gens, monom, coeff))
+    out = parts[0]
+    for part in parts[1:]:
+        if part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out
+
+
+def _render_rational(q: sp.Rational) -> str:
+    if q.q == 1:
+        return str(q.p)
+    return f"{q.p}/{q.q}"
+
+
+def _render_term(chart: Chart, gens, monom, coeff: sp.Rational) -> str:
+    factors = [
+        _render_gen(chart, g) + (f"^{k}" if k > 1 else "")
+        for g, k in zip(gens, monom)
+        if k > 0
+    ]
+    mon = "*".join(factors)
+    if not mon:
+        return _render_rational(coeff)
+    sign = "-" if coeff < 0 else ""
+    c = abs(coeff)
+    if c == 1:
+        return sign + mon
+    if c.q == 1:
+        return f"{sign}{c.p}*{mon}"
+    if c.p == 1:
+        return f"{sign}{mon}/{c.q}"
+    return f"{sign}({c.p}/{c.q})*{mon}"
+
+
+def _is_atomic_string(s: str) -> bool:
+    """True when the rendered string binds tighter than '/' (no parens needed)."""
+    if s.isalnum() or s.isidentifier():
+        return True
+    if "^" in s and all(part.isalnum() or part.isidentifier() for part in s.split("^")):
+        return True
+    return False
+
+
+def _render_sym(chart: Chart, e: sp.Expr) -> str:
+    num, den = e.as_numer_denom()
+    num_str = _render_polynomial(chart, num)
+    if den == 1:
+        return num_str
+    den_str = _render_polynomial(chart, den)
+    if " + " in num_str or " - " in num_str:
+        num_str = f"({num_str})"
+    if not _is_atomic_string(den_str):
+        den_str = f"({den_str})"
+    return f"{num_str}/{den_str}"
+
+
+def render_expr(e: Expr) -> str:
+    """Canonical text of e in the parser's grammar."""
+    return _render_sym(e.chart, e.sym)

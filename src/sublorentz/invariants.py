@@ -282,7 +282,7 @@ def dilate(frame: Frame, scale: str) -> Frame:
     s = chart.var(scale)
 
     def lift(v: VectorField) -> VectorField:
-        return VectorField(chart, tuple(Expr(chart, c.sym) for c in v.components)).scaled(s)
+        return VectorField(chart, tuple(c.lift(chart) for c in v.components)).scaled(s)
 
     return Frame(chart, lift(frame.x1), lift(frame.x2))
 

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-import sympy as sp
-
 from .errors import BracketPatternViolation, UnknownCatalogName
-from .expr import Chart, Expr, Tri, all_zero
+from .expr import Chart, Expr, Tri, all_zero, determinant
 from .invariants import ConstantContext, Invariants, StructureFunctions
 
 PARAM_CHART = Chart((), ("kappa",))
@@ -41,28 +39,25 @@ class LieAlgebra:
 
     def bracket_of(self, u: Sequence[Expr], v: Sequence[Expr]) -> tuple[Expr, ...]:
         n = self.dim
-        out = [self.chart.zero() for _ in range(n)]
+        zero = self.chart.zero()
+        out = [zero for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 coeff = u[i] * v[j]
-                if coeff.sym == 0:
+                if coeff == zero:
                     continue
                 for k in range(n):
                     c = self.table[i][j][k]
-                    if c.sym != 0:
+                    if c != zero:
                         out[k] = out[k] + coeff * c
         return tuple(out)
 
-    def ad(self, i: int) -> tuple[tuple[Expr, ...], ...]:
-        """Matrix of ad_{e_i}: row k, column j is c^k_ij."""
-        n = self.dim
-        return tuple(tuple(self.table[i][j][k] for j in range(n)) for k in range(n))
-
     def nonzero_brackets(self):
         n = self.dim
+        zero = self.chart.zero()
         for i in range(n):
             for j in range(i + 1, n):
-                if any(c.sym != 0 for c in self.table[i][j]):
+                if any(c != zero for c in self.table[i][j]):
                     yield (i, j, self.table[i][j])
 
 
@@ -88,19 +83,20 @@ def algebra_from_brackets(chart: Chart, labels: Sequence[str],
 def jacobi_residuals(L: LieAlgebra) -> list[Expr]:
     """All residuals of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
     n = L.dim
+    zero = L.chart.zero()
     residuals = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = [L.chart.zero() for _ in range(n)]
+                acc = [zero for _ in range(n)]
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                     inner = L.bracket(a, b)
                     for m in range(n):
-                        if inner[m].sym == 0:
+                        if inner[m] == zero:
                             continue
                         outer = L.bracket(m, c)
                         for l in range(n):
-                            if outer[l].sym != 0:
+                            if outer[l] != zero:
                                 acc[l] = acc[l] + inner[m] * outer[l]
                 residuals.extend(acc)
     return residuals
@@ -130,16 +126,15 @@ def killing_form(L: LieAlgebra) -> KillingData:
             for a in range(n):
                 for b in range(n):
                     cia = L.table[i][b][a]  # ad_i[a][b]
-                    if cia.sym == 0:
+                    if cia == zero:
                         continue
                     cjb = L.table[j][a][b]  # ad_j[b][a]
-                    if cjb.sym == 0:
+                    if cjb == zero:
                         continue
                     acc = acc + cia * cjb
             K[i][j] = acc
             K[j][i] = acc
-    mat = sp.Matrix(n, n, lambda i, j: K[i][j].sym)
-    det = Expr(L.chart, mat.det(method="berkowitz"))
+    det = determinant(K)
     signature = None
     if all(K[i][j].is_rational_constant() for i in range(n) for j in range(n)):
         signature = exact_inertia([[K[i][j].as_fraction() for j in range(n)] for i in range(n)])
@@ -299,13 +294,12 @@ def dualize_structure_equations(
     if len(equations) != n:
         raise ValueError("need exactly one structure equation per coframe element")
     coeff: dict[tuple[int, int], dict[int, Expr]] = {}
-    coord_syms = {sp.Symbol(c) for c in chart.coords}
     for k, eq in enumerate(equations):
         for (i, j), a in eq.items():
             if i == j:
                 raise ValueError("w^i ^ w^i vanishes; bad structure equation")
             a = a if isinstance(a, Expr) else chart.number(a)
-            if a.sym.free_symbols & coord_syms:
+            if a.free_names() & set(chart.coords):
                 raise ValueError("dualization requires constant coefficients")
             if i > j:
                 i, j, a = j, i, -a
@@ -380,9 +374,6 @@ def conformal_structure_equations(chart: Chart) -> list[dict[tuple[int, int], Ex
         {(6, 3): one, (5, 4): -one, (7, 1): -one},             # d Pi4
         {(7, 3): two, (6, 5): -one},                           # d Om
     ]
-
-
-ISOMETRY4_LABELS = ("e1", "e2", "e3", "e4")
 
 
 def isometry_structure_equations(chart: Chart, kappa: Expr) -> list[dict[tuple[int, int], Expr]]:

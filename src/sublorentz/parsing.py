@@ -6,7 +6,7 @@ extend the grammar with d/d<coord> basis tokens, recognized only in field
 positions.  Floating-point literals are rejected.
 
 Structure files are sectioned key = value text ([chart], [params], [frame] or
-[algebra], [symmetry], [transform]), UTF-8, with '#' comments.
+[algebra], [symmetry]), UTF-8, with '#' comments.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import sympy as sp
-
+from . import expr as ex
 from .calculus import VectorField
 from .errors import (
     DuplicateMode,
@@ -23,9 +22,14 @@ from .errors import (
     MissingSection,
     UnknownSymbol,
 )
-from .expr import Chart, Expr
+from .expr import Chart, Expr, render_expr
 
-_FUNCS = {"exp": sp.exp, "sinh": sp.sinh, "cosh": sp.cosh, "log": sp.log}
+_FUNCS = {"exp": ex.exp, "sinh": ex.sinh, "cosh": ex.cosh, "log": ex.log}
+
+# Parenthesised groups, function calls and parenthesised exponents each open
+# one level; the recursive-descent parser refuses input nested deeper, before
+# Python's recursion limit would end it in a traceback.
+MAX_NESTING = 100
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -88,6 +92,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.chart = chart
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -108,6 +113,16 @@ class _Parser:
     def at_op(self, *texts: str) -> bool:
         tok = self.peek()
         return tok.kind == "OP" and tok.text in texts
+
+    def nested(self, parse, opener: _Token):
+        """parse() one nesting level deeper, up to MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                                  opener.line, opener.column)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     # scalar grammar ---------------------------------------------------------
 
@@ -145,8 +160,7 @@ class _Parser:
     def parse_exponent(self) -> int:
         sign = 1
         if self.at_op("("):
-            self.next()
-            k = self.parse_exponent()
+            k = self.nested(self.parse_exponent, self.next())
             self.expect_op(")")
             return k
         while self.at_op("+", "-"):
@@ -164,16 +178,16 @@ class _Parser:
         if tok.kind == "NAME":
             if tok.text in _FUNCS:
                 self.expect_op("(")
-                arg = self.parse_scalar()
+                arg = self.nested(self.parse_scalar, tok)
                 self.expect_op(")")
-                return Expr(self.chart, _FUNCS[tok.text](arg.sym))
+                return _FUNCS[tok.text](arg)
             if not self.chart.has(tok.text):
                 raise UnknownSymbol(
                     f"unknown identifier {tok.text!r} at line {tok.line}, column {tok.column}"
                 )
             return self.chart.var(tok.text)
         if tok.kind == "OP" and tok.text == "(":
-            e = self.parse_scalar()
+            e = self.nested(self.parse_scalar, tok)
             self.expect_op(")")
             return e
         raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}",
@@ -275,115 +289,12 @@ def parse_field(text: str, chart: Chart, *, line: int = 1, column: int = 1) -> V
 # -- rendering ---------------------------------------------------------------
 
 
-def _gen_order(chart: Chart, gens) -> list[sp.Expr]:
-    def key(g):
-        if g.is_Symbol:
-            name = g.name
-            if name in chart.coords:
-                return (0, chart.coords.index(name), "")
-            if name in chart.params:
-                return (1, chart.params.index(name), "")
-            return (2, 0, name)
-        return (3, 0, _render_gen(chart, g))
-
-    return sorted(gens, key=key)
-
-
-def _atomic_gens(chart: Chart, e: sp.Expr) -> list[sp.Expr]:
-    gens = set(e.free_symbols) | set(e.atoms(sp.exp, sp.sinh, sp.cosh, sp.log))
-    return _gen_order(chart, gens)
-
-
-def _render_gen(chart: Chart, g: sp.Expr) -> str:
-    if g.is_Symbol:
-        return g.name
-    fname = {sp.exp: "exp", sp.sinh: "sinh", sp.cosh: "cosh", sp.log: "log"}[g.func]
-    return f"{fname}({_render_sym(chart, g.args[0])})"
-
-
-def _render_polynomial(chart: Chart, e: sp.Expr) -> str:
-    if e.is_Rational:
-        return _render_rational(e)
-    gens = _atomic_gens(chart, e)
-    poly = sp.Poly(e, *gens)
-    terms = sorted(poly.terms(), key=lambda t: tuple(-k for k in t[0]))
-    parts = []
-    for monom, coeff in terms:
-        parts.append(_render_term(chart, gens, monom, coeff))
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
-
-
-def _render_rational(q: sp.Rational) -> str:
-    if q.q == 1:
-        return str(q.p)
-    return f"{q.p}/{q.q}"
-
-
-def _render_term(chart: Chart, gens, monom, coeff: sp.Rational) -> str:
-    factors = [
-        _render_gen(chart, g) + (f"^{k}" if k > 1 else "")
-        for g, k in zip(gens, monom)
-        if k > 0
-    ]
-    mon = "*".join(factors)
-    if not mon:
-        return _render_rational(coeff)
-    sign = "-" if coeff < 0 else ""
-    c = abs(coeff)
-    if c == 1:
-        return sign + mon
-    if c.q == 1:
-        return f"{sign}{c.p}*{mon}"
-    if c.p == 1:
-        return f"{sign}{mon}/{c.q}"
-    return f"{sign}({c.p}/{c.q})*{mon}"
-
-
-def _is_atomic_string(s: str) -> bool:
-    """True when the rendered string binds tighter than '/' (no parens needed)."""
-    if s.isalnum() or s.isidentifier():
-        return True
-    if "^" in s and all(part.isalnum() or part.isidentifier() for part in s.split("^")):
-        return True
-    return False
-
-
-def _render_sym(chart: Chart, e: sp.Expr) -> str:
-    num, den = e.as_numer_denom()
-    num_str = _render_polynomial(chart, num)
-    if den == 1:
-        return num_str
-    den_str = _render_polynomial(chart, den)
-    if " + " in num_str or " - " in num_str:
-        num_str = f"({num_str})"
-    if not _is_atomic_string(den_str):
-        den_str = f"({den_str})"
-    return f"{num_str}/{den_str}"
-
-
-def render_expr(e: Expr, format: str = "plain") -> str:
-    text = _render_sym(e.chart, e.sym)
-    if format == "plain":
-        return text
-    if format == "json":
-        import json
-
-        return json.dumps(text)
-    raise ValueError(f"unknown format {format!r}")
-
-
 def render_field(v: VectorField) -> str:
     parts = []
     for comp, coord in zip(v.components, v.chart.coords):
-        if comp.sym == 0:
+        text = render_expr(comp)
+        if text == "0":
             continue
-        text = _render_sym(v.chart, comp.sym)
         if text == "1":
             term = f"d/d{coord}"
         elif text == "-1":
@@ -413,7 +324,7 @@ STRUCTURE_KEYS = ("c011", "c012", "c021", "c022", "c121", "c122")
 @dataclass
 class StructureDefinition:
     """A parsed structure file: chart plus either a coordinate frame or the
-    six constant structure functions, with optional symmetry/transform data."""
+    six constant structure functions, with optional symmetry fields."""
 
     chart: Chart
     mode: str  # "frame" | "algebra"
@@ -421,12 +332,10 @@ class StructureDefinition:
     x2: Optional[VectorField] = None
     structure_constants: Optional[dict[str, Expr]] = None
     symmetry_fields: tuple[tuple[str, VectorField], ...] = ()
-    theta: Optional[Expr] = None
-    scale: Optional[str] = None
     source_name: str = "<memory>"
 
 
-_KNOWN_SECTIONS = {"chart", "params", "frame", "algebra", "symmetry", "transform"}
+_KNOWN_SECTIONS = {"chart", "params", "frame", "algebra", "symmetry"}
 
 
 def _split_sections(text: str):
@@ -516,14 +425,5 @@ def parse_structure_file(text: str, source_name: str = "<memory>") -> StructureD
             raise ExprSyntaxError("[symmetry] requires a coordinate frame", lineno, 1)
         sym_fields.append((key, parse_field(value, defn.chart, line=lineno, column=col)))
     defn.symmetry_fields = tuple(sym_fields)
-
-    for lineno, key, value, col in sections.get("transform", []):
-        if key == "theta":
-            defn.theta = parse_expr(value, defn.chart, line=lineno, column=col)
-        elif key == "scale":
-            name = value.strip()
-            defn.scale = name
-        else:
-            raise ExprSyntaxError(f"unknown transform key {key!r}", lineno, 1)
 
     return defn

@@ -13,7 +13,7 @@ from typing import Optional
 from . import expr as ex
 from .contact import Frame, apparatus_checks, build_apparatus
 from .errors import EngineError
-from .expr import Expr, Tri
+from .expr import Expr, Tri, render_expr
 from .invariants import (
     ConstantContext,
     CoordinateContext,
@@ -32,7 +32,7 @@ from .lie_algebra import (
     structure_functions_of_marking,
 )
 from .ode_bridge import build_from_ode, verify_null_bundles
-from .parsing import StructureDefinition, render_expr, render_field
+from .parsing import StructureDefinition, render_field
 from .symmetry import binomial_identity_check, conformal_factor, preserves_distribution
 
 REPORT_VERSION = 1
@@ -69,6 +69,13 @@ def _input_block(defn: StructureDefinition) -> dict:
 
 def _frame_context(frame: Frame) -> CoordinateContext:
     return CoordinateContext(build_apparatus(frame))
+
+
+def coordinate_frame(defn: StructureDefinition, operation: str) -> Frame:
+    """The definition's frame; `operation` names what needs it in the error."""
+    if defn.mode != "frame":
+        raise EngineError(f"{operation} requires a coordinate frame")
+    return Frame(defn.chart, defn.x1, defn.x2)
 
 
 def _definition_context(defn: StructureDefinition):
@@ -206,9 +213,7 @@ def classify_report(defn: StructureDefinition) -> dict:
 
 
 def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
-    if defn.mode != "frame":
-        raise EngineError("rotation requires a coordinate frame")
-    frame = Frame(defn.chart, defn.x1, defn.x2)
+    frame = coordinate_frame(defn, "rotation")
     inv = _frame_context(frame).inv
     rotated = hyperbolic_rotate(frame, theta)
     rctx = _frame_context(rotated)
@@ -243,25 +248,22 @@ def _conjugation_residuals(inv: Invariants, rinv: Invariants, theta: Expr) -> li
 
 
 def dilate_report(defn: StructureDefinition, scale: str) -> dict:
-    if defn.mode != "frame":
-        raise EngineError("dilation requires a coordinate frame")
-    frame = Frame(defn.chart, defn.x1, defn.x2)
+    frame = coordinate_frame(defn, "dilation")
     inv = _frame_context(frame).inv
     dilated = dilate(frame, scale)
     chart2 = dilated.chart
     s = chart2.var(scale)
     dctx = _frame_context(dilated)
 
-    lift = lambda e: Expr(chart2, e.sym)  # noqa: E731  (same symbols, wider chart)
     checks = {f"dilated:{k}": v for k, v in _checks(dctx).items()}
     dinv = dctx.inv
     # c12' = s c12 but c0j' = s^2 c0j (the Reeb field rescales by s^2), hence
     # kappa' = s^2 kappa while chi' = s^4 chi and h_tilde' = s^2 h_tilde.
     s2 = s * s
-    checks["kappa_scaling_s2"] = tri_word((dinv.kappa - s2 * lift(inv.kappa)).is_zero())
-    checks["chi_scaling_s4"] = tri_word((dinv.chi - s2 * s2 * lift(inv.chi)).is_zero())
+    checks["kappa_scaling_s2"] = tri_word((dinv.kappa - s2 * inv.kappa.lift(chart2)).is_zero())
+    checks["chi_scaling_s4"] = tri_word((dinv.chi - s2 * s2 * inv.chi.lift(chart2)).is_zero())
     h_resid = [
-        dinv.h_tilde[i][j] - s2 * lift(inv.h_tilde[i][j])
+        dinv.h_tilde[i][j] - s2 * inv.h_tilde[i][j].lift(chart2)
         for i in range(2) for j in range(2)
     ]
     checks["h_tilde_scaling_s2"] = tri_word(ex.all_zero(h_resid))
@@ -281,9 +283,9 @@ def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
     for i, j, vec in algebra.nonzero_brackets():
         terms = []
         for k, c in enumerate(vec):
-            if c.sym == 0:
-                continue
             text = render_expr(c)
+            if text == "0":
+                continue
             if text == "1":
                 terms.append(algebra.labels[k])
             elif text == "-1":

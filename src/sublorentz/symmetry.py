@@ -6,9 +6,10 @@ symmetric 2x2 matrix on the frame; Z is an infinitesimal isometry when it
 vanishes and conformal with factor mu when it equals mu * g.  Higher-order
 derivatives iterate the same bracket-level formula.
 
-The fiber side realizes the same data through canonical momenta: fiber-linear
-polynomials h_X, the quadratic Hamiltonian -h1^2/2 + h2^2/2, and a Poisson
-bracket whose sign is pinned by {h_X, h_Y} = h_[X,Y].
+The fiber side realizes the same data through canonical momenta, declared as
+coordinates of a phase chart: fiber-linear polynomials h_X, the quadratic
+Hamiltonian -h1^2/2 + h2^2/2, and a Poisson bracket whose sign is pinned by
+{h_X, h_Y} = h_[X,Y].
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
-
-import sympy as sp
 
 from .calculus import VectorField, det3, evaluate, invert3, lie_bracket
 from .contact import ContactApparatus
@@ -162,80 +161,66 @@ def binomial_identity_check(Z: VectorField, app: ContactApparatus, n: int) -> tu
 # -- fiber polynomials and the Poisson bracket --------------------------------
 
 
-def _momentum_symbols(chart: Chart) -> tuple[sp.Symbol, ...]:
-    return tuple(sp.Symbol(f"_mom_{c}") for c in chart.coords)
+# Frame momenta h_i = <lambda, X_i>, in coframe order (X0, X1, X2).
+FRAME_MOMENTA = ("H0", "H1", "H2")
 
 
-@dataclass(frozen=True)
-class FiberPolynomial:
-    """Polynomial in the canonical momenta with exact scalar coefficients."""
-
-    chart: Chart
-    value: Expr  # Expr over the chart whose sym may contain momentum symbols
-
-    def __add__(self, other: "FiberPolynomial") -> "FiberPolynomial":
-        return FiberPolynomial(self.chart, self.value + other.value)
-
-    def __sub__(self, other: "FiberPolynomial") -> "FiberPolynomial":
-        return FiberPolynomial(self.chart, self.value - other.value)
-
-    def __mul__(self, other) -> "FiberPolynomial":
-        if isinstance(other, FiberPolynomial):
-            return FiberPolynomial(self.chart, self.value * other.value)
-        return FiberPolynomial(self.chart, self.value * other)
-
-    def __neg__(self) -> "FiberPolynomial":
-        return FiberPolynomial(self.chart, -self.value)
-
-    def is_zero(self) -> Tri:
-        return self.value.is_zero()
+def _momentum(coord: str) -> str:
+    """Name of the canonical momentum conjugate to `coord`.  The uppercase
+    prefix fixes where momenta fall in sympy's generator order, which shapes
+    the cost of canonicalization: after single-letter names, before
+    lowercase multi-letter names and atoms."""
+    return f"P_{coord}"
 
 
-def fiber_linear(X: VectorField) -> FiberPolynomial:
+def phase_chart(chart: Chart) -> Chart:
+    """Coordinates of the cotangent bundle: the chart's three coordinates
+    first, then their canonical momenta and the frame momenta.  A chart
+    already declaring one of the momentum names raises UnknownSymbol."""
+    moms = tuple(_momentum(c) for c in chart.coords)
+    return Chart(chart.coords + moms + FRAME_MOMENTA, chart.params)
+
+
+def fiber_linear(X: VectorField) -> Expr:
     """h_X(lambda) = <lambda, X> in canonical momenta."""
-    chart = X.chart
-    moms = _momentum_symbols(chart)
-    sym = sum((c.sym * m for c, m in zip(X.components, moms)), sp.Integer(0))
-    return FiberPolynomial(chart, Expr(chart, sym))
+    phase = phase_chart(X.chart)
+    return sum(
+        (c.lift(phase) * phase.var(_momentum(q)) for c, q in zip(X.components, X.chart.coords)),
+        phase.zero(),
+    )
 
 
-def geodesic_hamiltonian(x1: VectorField, x2: VectorField) -> FiberPolynomial:
+def geodesic_hamiltonian(x1: VectorField, x2: VectorField) -> Expr:
     """-h1^2/2 + h2^2/2 for the orthonormal frame."""
     h1 = fiber_linear(x1)
     h2 = fiber_linear(x2)
-    half = x1.chart.one() / 2
-    return FiberPolynomial(x1.chart, (h2.value * h2.value - h1.value * h1.value) * half)
+    return (h2 * h2 - h1 * h1) * (h1.chart.one() / 2)
 
 
-def poisson_bracket(F: FiberPolynomial, G: FiberPolynomial) -> FiberPolynomial:
-    """Canonical bracket, sign fixed so that {h_X, h_Y} = h_[X,Y]."""
-    chart = F.chart
-    moms = _momentum_symbols(chart)
-    out = sp.Integer(0)
-    for coord, mom in zip(chart.coords, moms):
-        q = sp.Symbol(coord)
-        out += sp.diff(F.value.sym, mom) * sp.diff(G.value.sym, q)
-        out -= sp.diff(F.value.sym, q) * sp.diff(G.value.sym, mom)
-    return FiberPolynomial(chart, Expr(chart, out))
+def poisson_bracket(F: Expr, G: Expr) -> Expr:
+    """Canonical bracket of functions on a phase chart (whose first three
+    coordinates are the base's), sign fixed so that {h_X, h_Y} = h_[X,Y]."""
+    out = F.chart.zero()
+    for q in F.chart.coords[:3]:
+        p = _momentum(q)
+        out = out + F.diff(p) * G.diff(q) - F.diff(q) * G.diff(p)
+    return out
 
 
-def momenta_to_frame(app: ContactApparatus, P: FiberPolynomial,
-                     labels: tuple[str, str, str] = ("h0", "h1", "h2")) -> sp.Expr:
-    """Re-express a fiber polynomial in the frame momenta (h0, h1, h2) by
+def momenta_to_frame(app: ContactApparatus, P: Expr) -> Expr:
+    """Re-express a fiber polynomial in the frame momenta (H0, H1, H2) by
     inverting the fiber-linear change of basis h_i = <lambda, X_i>."""
-    chart = app.chart
-    moms = _momentum_symbols(chart)
-    frame_moms = tuple(sp.Symbol(f"_mom_{k}") for k in labels)
+    phase = P.chart
+    frame_moms = [phase.var(h) for h in FRAME_MOMENTA]
     rows = [f.components for f in app.marked_fields]
     inv = invert3(rows, strict=False)
-    substitution = {
-        moms[j]: sum((inv[j][i].sym * frame_moms[i] for i in range(3)), sp.Integer(0))
-        for j in range(3)
-    }
-    return Expr(chart, P.value.sym.xreplace(substitution)).sym
+    return P.subs({
+        _momentum(q): sum((inv[j][i].lift(phase) * frame_moms[i] for i in range(3)), phase.zero())
+        for j, q in enumerate(app.chart.coords)
+    })
 
 
-def quadratic_frame_matrix(app: ContactApparatus, P: FiberPolynomial):
+def quadratic_frame_matrix(app: ContactApparatus, P: Expr):
     """Coefficients q_ab of a homogeneous quadratic fiber polynomial in the
     frame momenta (h0, h1, h2), extracted by polarization against the dual
     coframe: h_a evaluates to delta_ab on the covector nu_b, so
@@ -244,19 +229,17 @@ def quadratic_frame_matrix(app: ContactApparatus, P: FiberPolynomial):
     The coframe rows share the frame determinant as common denominator, so the
     substitution uses the fraction-free rows det * nu_a and divides by det^2
     once at the end (P is homogeneous of degree 2)."""
-    chart = app.chart
-    moms = _momentum_symbols(chart)
+    phase = P.chart
     det = det3([f.components for f in app.marked_fields])
-    det2 = (det * det).canonical()
+    det2 = (det * det).lift(phase)
 
     def at_covector(w) -> Expr:
-        mapping = {m: c.sym for m, c in zip(moms, w)}
-        return Expr(chart, P.value.sym.xreplace(mapping))
+        return P.subs({_momentum(q): c for q, c in zip(app.chart.coords, w)})
 
-    covs = [tuple((det * c).canonical() for c in f.components) for f in app.coframe]
+    covs = [tuple((det * c).lift(phase) for c in f.components) for f in app.coframe]
     diag = [at_covector(w) for w in covs]
-    q = [[chart.zero() for _ in range(3)] for _ in range(3)]
-    half = chart.one() / 2
+    q = [[phase.zero() for _ in range(3)] for _ in range(3)]
+    half = phase.one() / 2
     for a in range(3):
         q[a][a] = diag[a] / det2
         for b in range(a + 1, 3):
@@ -274,8 +257,10 @@ def vertical_form_residual(app: ContactApparatus, sf: StructureFunctions) -> Exp
     identity as in frame momenta since the change of basis is invertible."""
     h = geodesic_hamiltonian(app.frame.x1, app.frame.x2)
     h0 = fiber_linear(app.x0)
-    h1 = fiber_linear(app.frame.x1).value
-    h2 = fiber_linear(app.frame.x2).value
+    h1 = fiber_linear(app.frame.x1)
+    h2 = fiber_linear(app.frame.x2)
+    phase = h.chart
+    c011, c012, c021, c022 = (c.lift(phase) for c in (sf.c011, sf.c012, sf.c021, sf.c022))
     bracket = poisson_bracket(h, h0)
-    target = -sf.c011 * h1 * h1 + (sf.c021 - sf.c012) * h1 * h2 + sf.c022 * h2 * h2
-    return bracket.value - target
+    target = -c011 * h1 * h1 + (c021 - c012) * h1 * h2 + c022 * h2 * h2
+    return bracket - target

@@ -111,6 +111,14 @@ class TestTransformCommands:
         assert report["dilated_invariants"]["chi"] == "s^4/(4*y^4)"
 
 
+    @pytest.mark.parametrize("theta", ["x*y", "2"])
+    def test_rotate_requires_coordinate_frame(self, capsys, theta):
+        """The mode error comes before --theta is parsed on the chart."""
+        code, out, err = run_cli(capsys, "rotate", "sl2_e", "--theta", theta)
+        assert (code, out) == (3, "")
+        assert err == "error: rotation requires a coordinate frame\n"
+
+
 class TestAlgebraCommand:
     def test_conformal8(self, capsys):
         code, report, _ = run_json(capsys, "algebra", "conformal8")
@@ -201,6 +209,35 @@ class TestCatalogAndErrors:
         assert code == 0
         assert report["classification"]["label"] == "NullKernelCase"
         assert report["classification"]["witness"]["direction"] == "X1-X2"
+
+
+def nest(inner: str, levels: int = 3000) -> str:
+    return "(" * levels + inner + ")" * levels
+
+
+class TestNestingLimit:
+    """Input nested past the parser's bound is an input error (exit 3) with
+    one message line, never a RecursionError traceback."""
+
+    @staticmethod
+    def assert_input_error(code, out, err):
+        assert (code, out) == (3, "")
+        assert err.startswith("error: nesting deeper than")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", [nest("x"), "x^" + nest("2")])
+    def test_deep_q(self, capsys, q):
+        self.assert_input_error(*run_cli(capsys, "ode", "--Q", q))
+
+    def test_deep_frame_value(self, capsys, tmp_path):
+        path = tmp_path / "deep.toml"
+        path.write_text(f"[chart]\ncoords = x, y, z\n\n[frame]\nX1 = {nest('1')}*d/dx\nX2 = d/dy\n")
+        self.assert_input_error(*run_cli(capsys, "analyze", str(path)))
+
+    def test_fifty_levels_parse(self, capsys):
+        code, report, _ = run_json(capsys, "ode", "--Q", nest("x", 50) + "^" + nest("2", 50))
+        assert code == 0
+        assert report["Q"] == "x^2"
 
 
 class TestOneComputePerContext:

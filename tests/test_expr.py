@@ -138,6 +138,17 @@ class TestSubstitute:
             x / denom
 
 
+class TestLift:
+    def test_wider_chart_keeps_value(self):
+        wide = CH.with_params("s")
+        lifted = ((var("x") + 1) / var("y")).lift(wide)
+        assert lifted == (wide.var("x") + 1) / wide.var("y")
+
+    def test_narrower_chart_rejected(self):
+        with pytest.raises(UnknownSymbol):
+            var("k").lift(Chart(("x", "y", "z")))
+
+
 class TestDivision:
     def test_explicit_zero_divisor(self):
         x = var("x")
@@ -196,3 +207,47 @@ def test_self_difference_is_zero(e):
 @given(exprs())
 def test_mixed_partials_commute(e):
     assert e.diff("x").diff("y") == e.diff("y").diff("x")
+
+
+@given(exprs(), exprs())
+def test_identities_are_never_refuted(a, b):
+    """Soundness oracle: the zero test may answer UNKNOWN on a true identity
+    over opaque atoms, never FALSE.  log's identity needs positive arguments."""
+    p, q = a ** 2 + 1, b ** 2 + 1
+    identities = [
+        ex.sinh(2 * a) - 2 * ex.sinh(a) * ex.cosh(a),
+        ex.cosh(2 * a) - ex.cosh(a) ** 2 - ex.sinh(a) ** 2,
+        ex.sinh(a + b) - ex.sinh(a) * ex.cosh(b) - ex.cosh(a) * ex.sinh(b),
+        ex.exp(a + b) - ex.exp(a) * ex.exp(b),
+        ex.log(p * q) - ex.log(p) - ex.log(q),
+    ]
+    for e in identities:
+        assert e.is_zero() is not Tri.FALSE
+    pythagoras = ex.cosh(a) ** 2 - ex.sinh(a) ** 2 - 1
+    assert pythagoras.is_zero() is Tri.TRUE
+    assert (pythagoras / (a + ex.cosh(a))).is_zero() is Tri.TRUE
+
+
+def test_only_the_kernel_knows_the_representation():
+    """No module but expr.py imports sympy or reads an Expr's `sym`."""
+    import ast
+    from pathlib import Path
+
+    import sublorentz
+
+    offenders = []
+    for path in sorted(Path(sublorentz.__file__).parent.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m == "sympy" or m.startswith("sympy.") for m in modules):
+                offenders.append(f"{path.name}:{node.lineno} imports sympy")
+            if isinstance(node, ast.Attribute) and node.attr == "sym":
+                offenders.append(f"{path.name}:{node.lineno} reads .sym")
+    assert offenders == []
