@@ -20,6 +20,7 @@ from .report import (
     EXIT_CODES,
     algebra_report,
     analyze_definition,
+    catalog_report,
     classify_report,
     coordinate_frame,
     dilate_report,
@@ -114,14 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "catalog":
-            report = {
-                "report_version": 1,
-                "command": "catalog",
-                "structures": sorted(fixtures.STRUCTURE_FILES),
-                "algebras": sorted(fixtures.ALGEBRA_NAMES),
-                "status": "pass",
-            }
-            return _emit(report, args.format)
+            return _emit(catalog_report(), args.format)
         if args.command == "algebra":
             kappa = _parse_kappa(args.kappa) if args.kappa is not None else None
             return _emit(algebra_report(args.name, kappa), args.format)

@@ -93,7 +93,7 @@ def reeb_field(omega: DifferentialForm, frame: Frame) -> VectorField:
 def dual_coframe(x0: VectorField, x1: VectorField, x2: VectorField):
     chart = x0.chart
     rows = [x0.components, x1.components, x2.components]
-    inv = invert3(rows, strict=True)
+    inv = invert3(rows)
     return tuple(
         one_form(chart, inv[0][i], inv[1][i], inv[2][i]) for i in range(3)
     )

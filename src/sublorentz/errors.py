@@ -9,6 +9,10 @@ class DivisionByZero(EngineError):
     """Division by an expression whose normal form is zero."""
 
 
+class NonRealValue(EngineError):
+    """A value that is not real, such as the log of a negative constant."""
+
+
 class UnknownSymbol(EngineError):
     """An identifier that is not declared in the chart."""
 

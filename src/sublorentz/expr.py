@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Union
 
 import sympy as sp
 
-from .errors import DivisionByZero, UnknownSymbol
+from .errors import DivisionByZero, NonRealValue, UnknownSymbol
 
 _ATOM_FUNCS = (sp.exp, sp.sinh, sp.cosh, sp.log)
 
@@ -73,11 +73,6 @@ class Chart:
     def has(self, name: str) -> bool:
         return name in self.coords or name in self.params
 
-    def symbol(self, name: str) -> sp.Symbol:
-        if not self.has(name):
-            raise UnknownSymbol(f"undeclared name {name!r}")
-        return sp.Symbol(name)
-
     def with_params(self, *extra: str) -> "Chart":
         new = tuple(p for p in extra if p not in self.params)
         return Chart(self.coords, self.params + new)
@@ -92,7 +87,9 @@ class Chart:
         return Expr(self, _to_rational(value), _canon=True)
 
     def var(self, name: str) -> "Expr":
-        return Expr(self, self.symbol(name), _canon=True)
+        if not self.has(name):
+            raise UnknownSymbol(f"undeclared name {name!r}")
+        return Expr(self, sp.Symbol(name), _canon=True)
 
 
 def _to_rational(value: NumberLike) -> sp.Rational:
@@ -261,7 +258,7 @@ class Expr:
         if self.sym == 0:
             return Tri.TRUE
         num, _ = self.sym.as_numer_denom()
-        atoms = _transcendental_atoms(num)
+        atoms = num.atoms(*_ATOM_FUNCS)
         if not atoms:
             return Tri.FALSE
         if _nonzero_monomial_certificate(self.chart, num, atoms):
@@ -278,9 +275,6 @@ class Expr:
 
     def free_names(self) -> set[str]:
         return {s.name for s in self.sym.free_symbols}
-
-    def has_transcendental(self) -> bool:
-        return bool(_transcendental_atoms(self.sym))
 
     def denominator(self) -> "Expr":
         """The denominator of the canonical fraction."""
@@ -313,10 +307,6 @@ class Expr:
         return Expr(self.chart, self.sym.xreplace(mapping)).canonical()
 
 
-def _transcendental_atoms(e: sp.Expr):
-    return e.atoms(*_ATOM_FUNCS)
-
-
 def _nonzero_monomial_certificate(chart: Chart, num: sp.Expr, atoms) -> bool:
     """True when `num` is certain not to be the zero function.
 
@@ -346,24 +336,7 @@ def _nonzero_monomial_certificate(chart: Chart, num: sp.Expr, atoms) -> bool:
     return True
 
 
-# -- public operations (module-level API mirroring the kernel contract) ------
-
-
-def simplify(e: Expr) -> Expr:
-    """Idempotent canonicalization (Exprs are already stored canonically)."""
-    return Expr(e.chart, e.sym)
-
-
-def differentiate(e: Expr, coord: str) -> Expr:
-    return e.diff(coord)
-
-
-def is_zero(e: Expr) -> Tri:
-    return e.is_zero()
-
-
-def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    return e.subs(bindings)
+# -- atoms and the family zero test -----------------------------------------
 
 
 def exp(e: Expr) -> Expr:
@@ -379,7 +352,12 @@ def cosh(e: Expr) -> Expr:
 
 
 def log(e: Expr) -> Expr:
-    return Expr(e.chart, sp.log(e.sym))
+    """Logs are read on the domain where their argument is positive; a value
+    that sympy makes complex (log(-1) = I*pi) is refused."""
+    value = sp.log(e.sym)
+    if value.has(sp.I):
+        raise NonRealValue("the log of a negative constant is not real")
+    return Expr(e.chart, value)
 
 
 def all_zero(exprs: Iterable[Expr]) -> Tri:
@@ -446,13 +424,16 @@ def _gen_order(chart: Chart, gens) -> list[sp.Expr]:
 
 
 def _atomic_gens(chart: Chart, e: sp.Expr) -> list[sp.Expr]:
-    gens = set(e.free_symbols) | set(e.atoms(sp.exp, sp.sinh, sp.cosh, sp.log))
+    """Symbols and atoms of e; sympy writes exp(1) as the number E."""
+    gens = set(e.free_symbols) | e.atoms(*_ATOM_FUNCS, type(sp.E))
     return _gen_order(chart, gens)
 
 
 def _render_gen(chart: Chart, g: sp.Expr) -> str:
     if g.is_Symbol:
         return g.name
+    if g is sp.E:
+        return "exp(1)"
     fname = {sp.exp: "exp", sp.sinh: "sinh", sp.cosh: "cosh", sp.log: "log"}[g.func]
     return f"{fname}({_render_sym(chart, g.args[0])})"
 
@@ -461,18 +442,21 @@ def _render_polynomial(chart: Chart, e: sp.Expr) -> str:
     if e.is_Rational:
         return _render_rational(e)
     gens = _atomic_gens(chart, e)
-    poly = sp.Poly(e, *gens)
+    try:
+        poly = sp.Poly(e, *gens)
+    except sp.PolynomialError:
+        # Poly reads exp(2*x) as exp(x)^2 and then finds x inside a generator;
+        # stand-ins keep every atom opaque.
+        dummies = [sp.Dummy() for _ in gens]
+        poly = sp.Poly(e.xreplace(dict(zip(gens, dummies))), *dummies)
     terms = sorted(poly.terms(), key=lambda t: tuple(-k for k in t[0]))
-    parts = []
-    for monom, coeff in terms:
-        parts.append(_render_term(chart, gens, monom, coeff))
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+    return join_terms(_render_term(chart, gens, monom, coeff) for monom, coeff in terms)
+
+
+def join_terms(terms: Iterable[str]) -> str:
+    """Join rendered terms into a sum, writing a term "-t" as " - t"."""
+    first, *rest = terms
+    return first + "".join(" - " + t[1:] if t.startswith("-") else " + " + t for t in rest)
 
 
 def _render_rational(q: sp.Rational) -> str:

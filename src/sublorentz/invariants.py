@@ -15,14 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import expr as ex
-from .calculus import (
-    VectorField,
-    evaluate,
-    exterior_derivative,
-    lie_bracket,
-    scalar_form,
-    wedge,
-)
+from .calculus import VectorField, differential, evaluate, exterior_derivative, lie_bracket, wedge
 from .contact import ContactApparatus, Frame, build_apparatus
 from .errors import (
     HTildeNonzero,
@@ -210,7 +203,7 @@ def eta_check(ctx) -> EtaReport:
         eta = (
             nu0.scaled(coeffs[0]) + nu1.scaled(coeffs[1]) + nu2.scaled(coeffs[2])
         )
-        target = wedge(exterior_derivative(scalar_form(kappa)), nu0)
+        target = wedge(differential(kappa), nu0)
         residual_form = exterior_derivative(eta) - target
         closure = tuple(residual_form.components)
     else:

@@ -1,6 +1,6 @@
 """Finite-dimensional real Lie algebras by structure constants: Jacobi
-validation, Killing form with exact determinant and inertia, constant-mode
-invariants of a marked basis, dualization of constant-coefficient structure
+validation, Killing form with exact determinant and inertia, structure
+functions of a marked basis, dualization of constant-coefficient structure
 equations, and the built-in catalog of algebras used by the test fixtures.
 
 Dualization convention: for a constant coframe, dw^k(e_i, e_j) = -w^k([e_i, e_j]),
@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import BracketPatternViolation, UnknownCatalogName
 from .expr import Chart, Expr, Tri, all_zero, determinant
-from .invariants import ConstantContext, Invariants, StructureFunctions
+from .invariants import StructureFunctions
 
 PARAM_CHART = Chart((), ("kappa",))
 
@@ -239,7 +239,7 @@ def killing_invariance_residuals(L: LieAlgebra, T: Sequence[Sequence[Expr]]) -> 
     return out
 
 
-# -- constant-mode invariants ---------------------------------------------------
+# -- marked bases ---------------------------------------------------------------
 
 
 def structure_functions_of_marking(L: LieAlgebra, marking: tuple[int, int, int]) -> StructureFunctions:
@@ -273,11 +273,6 @@ def structure_functions_of_marking(L: LieAlgebra, marking: tuple[int, int, int])
     )
     sf.validate_trace()
     return sf
-
-
-def constant_mode_invariants(L: LieAlgebra, marking: tuple[int, int, int]) -> tuple[StructureFunctions, Invariants]:
-    sf = structure_functions_of_marking(L, marking)
-    return sf, ConstantContext(sf, L.chart).inv
 
 
 # -- dualization ----------------------------------------------------------------

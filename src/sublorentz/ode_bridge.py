@@ -68,14 +68,3 @@ def verify_null_bundles(s: OdeStructure) -> dict[str, Tri]:
         "g(X1+X2,X1+X2)=0": g_plus.is_zero(),
         "g(X1-X2,X1-X2)=0": g_minus.is_zero(),
     }
-
-
-def rigid_example_rhs(chart: Chart = ODE_CHART) -> Expr:
-    """Total-derivative expansion of ((x + x^2) e^u)' = (1+2x)e^u + (x+x^2)e^u p."""
-    from . import expr as ex
-
-    x = chart.var("x")
-    u = chart.var("u")
-    p = chart.var("p")
-    eu = ex.exp(u)
-    return (1 + 2 * x) * eu + (x + x * x) * eu * p

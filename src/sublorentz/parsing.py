@@ -22,7 +22,7 @@ from .errors import (
     MissingSection,
     UnknownSymbol,
 )
-from .expr import Chart, Expr, render_expr
+from .expr import Chart, Expr, join_terms, render_expr
 
 _FUNCS = {"exp": ex.exp, "sinh": ex.sinh, "cosh": ex.cosh, "log": ex.log}
 
@@ -306,13 +306,7 @@ def render_field(v: VectorField) -> str:
         parts.append(term)
     if not parts:
         return "0*d/d" + v.chart.coords[0]
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+    return join_terms(parts)
 
 
 # -- structure files ---------------------------------------------------------

@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from . import builtins as fixtures
 from . import expr as ex
 from .contact import Frame, apparatus_checks, build_apparatus
 from .errors import EngineError
-from .expr import Expr, Tri, render_expr
+from .expr import Expr, Tri, join_terms, render_expr
 from .invariants import (
     ConstantContext,
     CoordinateContext,
@@ -292,7 +293,7 @@ def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
                 terms.append("-" + algebra.labels[k])
             else:
                 terms.append(f"({text})*{algebra.labels[k]}")
-        brackets[f"[{algebra.labels[i]},{algebra.labels[j]}]"] = " + ".join(terms).replace("+ -", "- ")
+        brackets[f"[{algebra.labels[i]},{algebra.labels[j]}]"] = join_terms(terms)
     body = {
         "algebra": {
             "name": name,
@@ -312,6 +313,16 @@ def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
         body.update(_analysis_blocks(ctx))
         checks.update(_checks(ctx))
     return _report("algebra", {"source": f"catalog:{name}", "mode": "algebra"}, body, checks)
+
+
+def catalog_report() -> dict:
+    return {
+        "report_version": REPORT_VERSION,
+        "command": "catalog",
+        "structures": sorted(fixtures.STRUCTURE_FILES),
+        "algebras": sorted(fixtures.ALGEBRA_NAMES),
+        "status": "pass",
+    }
 
 
 def ode_report(q: Expr) -> dict:

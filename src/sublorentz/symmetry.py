@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .calculus import VectorField, det3, evaluate, invert3, lie_bracket
+from .calculus import VectorField, det3, evaluate, lie_bracket
 from .contact import ContactApparatus
 from .errors import DistributionNotPreserved
 from .expr import Chart, Expr, Tri, all_zero
@@ -209,13 +209,16 @@ def poisson_bracket(F: Expr, G: Expr) -> Expr:
 
 def momenta_to_frame(app: ContactApparatus, P: Expr) -> Expr:
     """Re-express a fiber polynomial in the frame momenta (H0, H1, H2) by
-    inverting the fiber-linear change of basis h_i = <lambda, X_i>."""
+    inverting the fiber-linear change of basis h_i = <lambda, X_i>: the
+    inverse of the matrix of (X0, X1, X2) is the transposed dual coframe, so
+    p_j = sum_i nu_i^j h_i."""
     phase = P.chart
     frame_moms = [phase.var(h) for h in FRAME_MOMENTA]
-    rows = [f.components for f in app.marked_fields]
-    inv = invert3(rows, strict=False)
     return P.subs({
-        _momentum(q): sum((inv[j][i].lift(phase) * frame_moms[i] for i in range(3)), phase.zero())
+        _momentum(q): sum(
+            (nu.components[j].lift(phase) * h for nu, h in zip(app.coframe, frame_moms)),
+            phase.zero(),
+        )
         for j, q in enumerate(app.chart.coords)
     })
 

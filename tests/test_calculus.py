@@ -7,17 +7,12 @@ import pytest
 
 from sublorentz.calculus import (
     DifferentialForm,
-    VectorField,
-    apply_field,
-    basis_field,
-    coordinate_differential,
+    differential,
     evaluate,
     exterior_derivative,
     lie_bracket,
     one_form,
-    scalar_form,
     wedge,
-    zero_form,
 )
 from sublorentz.expr import Chart, Tri
 from sublorentz.parsing import parse_expr, parse_field
@@ -57,20 +52,20 @@ class TestLieBracket:
 
 class TestApplyField:
     def test_directional_derivative(self, martinet_frame):
-        assert apply_field(martinet_frame.x2, exp_("1/y")) == exp_("-1/y^2")
+        assert martinet_frame.x2(exp_("1/y")) == exp_("-1/y^2")
 
     def test_parameter_annihilated(self):
         chart = Chart(("x", "y", "z"), ("k",))
         X = parse_field("d/dx + k*d/dy", chart)
-        assert apply_field(X, chart.var("k")).is_zero() is Tri.TRUE
+        assert X(chart.var("k")).is_zero() is Tri.TRUE
 
     def test_coordinate_vector(self):
-        assert apply_field(basis_field(CH, 0), exp_("x*y")) == exp_("y")
+        assert fld("d/dx")(exp_("x*y")) == exp_("y")
 
 
 class TestExteriorDerivative:
     def test_d_of_coordinate_differential(self):
-        assert exterior_derivative(coordinate_differential(CH, 0)).is_zero() is Tri.TRUE
+        assert exterior_derivative(differential(CH.var("x"))).is_zero() is Tri.TRUE
 
     def test_d_x_dy(self):
         form = one_form(CH, CH.zero(), CH.var("x"), CH.zero())
@@ -78,30 +73,22 @@ class TestExteriorDerivative:
         assert [str(c.sym) for c in d.components] == ["1", "0", "0"]
 
     def test_degree_three_rejected(self):
-        top = DifferentialForm(CH, 3, (CH.one(),))
+        two_form = DifferentialForm(CH, 2, (CH.one(), CH.zero(), CH.zero()))
         with pytest.raises(ValueError):
-            exterior_derivative(top)
+            exterior_derivative(two_form)
 
 
 class TestWedgeEvaluate:
     def test_convention_anchor(self):
-        dx = coordinate_differential(CH, 0)
-        dy = coordinate_differential(CH, 1)
+        dx = differential(CH.var("x"))
+        dy = differential(CH.var("y"))
         two_form = wedge(dx, dy)
-        assert evaluate(two_form, [basis_field(CH, 0), basis_field(CH, 1)]) == CH.one()
+        assert evaluate(two_form, [fld("d/dx"), fld("d/dy")]) == CH.one()
 
     def test_arity_mismatch(self):
-        dx = coordinate_differential(CH, 0)
+        dx = differential(CH.var("x"))
         with pytest.raises(ValueError):
-            evaluate(dx, [basis_field(CH, 0), basis_field(CH, 1)])
-
-    def test_top_degree_is_determinant(self):
-        dx = coordinate_differential(CH, 0)
-        dy = coordinate_differential(CH, 1)
-        dz = coordinate_differential(CH, 2)
-        vol = wedge(wedge(dx, dy), dz)
-        fields = [fld("d/dx + y*d/dz"), fld("d/dy"), fld("d/dz")]
-        assert evaluate(vol, fields) == CH.one()
+            evaluate(dx, [fld("d/dx"), fld("d/dy")])
 
 
 class TestRandomizedIdentities:
@@ -122,9 +109,7 @@ class TestRandomizedIdentities:
         rng = random.Random(7041776)
         for _ in range(25):
             f = random_polynomial(rng, CH)
-            assert exterior_derivative(exterior_derivative(scalar_form(f))).is_zero() is Tri.TRUE
-            alpha = one_form(CH, *(random_polynomial(rng, CH) for _ in range(3)))
-            assert exterior_derivative(exterior_derivative(alpha)).is_zero() is Tri.TRUE
+            assert exterior_derivative(differential(f)).is_zero() is Tri.TRUE
 
     def test_leibniz_rule(self):
         rng = random.Random(1618)
@@ -133,7 +118,7 @@ class TestRandomizedIdentities:
             Y = random_field(rng, CH)
             f = random_polynomial(rng, CH)
             lhs = lie_bracket(X, Y.scaled(f))
-            rhs = Y.scaled(apply_field(X, f)) + lie_bracket(X, Y).scaled(f)
+            rhs = Y.scaled(X(f)) + lie_bracket(X, Y).scaled(f)
             assert (lhs - rhs).is_zero() is Tri.TRUE
 
     def test_cartan_formula_for_one_forms(self):
@@ -144,8 +129,8 @@ class TestRandomizedIdentities:
             Y = random_field(rng, CH)
             lhs = evaluate(exterior_derivative(alpha), [X, Y])
             rhs = (
-                apply_field(X, evaluate(alpha, [Y]))
-                - apply_field(Y, evaluate(alpha, [X]))
+                X(evaluate(alpha, [Y]))
+                - Y(evaluate(alpha, [X]))
                 - evaluate(alpha, [lie_bracket(X, Y)])
             )
             assert (lhs - rhs).is_zero() is Tri.TRUE

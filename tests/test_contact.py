@@ -79,7 +79,7 @@ class TestContactLocus:
         det = contact_locus(martinet_frame)
         assert det == exp_("-3*y/2")
         # zero set is exactly {y = 0}
-        assert (det / exp_("y")).has_transcendental() is False
+        assert (det / exp_("y")).is_rational_constant()
 
     def test_heisenberg_everywhere_contact(self, heisenberg_frame):
         det = contact_locus(heisenberg_frame)

@@ -14,7 +14,6 @@ from sublorentz.lie_algebra import (
     algebra_from_brackets,
     catalog_algebra,
     catalog_marking,
-    constant_mode_invariants,
     conformal_structure_equations,
     dualize_structure_equations,
     exact_inertia,
@@ -24,6 +23,7 @@ from sublorentz.lie_algebra import (
     jacobi_residuals,
     killing_form,
     killing_invariance_residuals,
+    structure_functions_of_marking,
     CONFORMAL8_LABELS,
 )
 from sublorentz.parsing import render_expr
@@ -136,23 +136,25 @@ class TestConformal8:
                 assert (vec[k] - target).is_zero() is Tri.TRUE
 
 
+def marked_invariants(name):
+    L = catalog_algebra(name)
+    return ConstantContext(structure_functions_of_marking(L, catalog_marking(name)), L.chart).inv
+
+
 class TestConstantModeInvariants:
     def test_heisenberg_mark(self):
-        sf, inv = constant_mode_invariants(catalog_algebra("heisenberg"),
-                                           catalog_marking("heisenberg"))
+        inv = marked_invariants("heisenberg")
         assert inv.h_tilde_is_zero() is Tri.TRUE
         assert inv.chi.is_zero() is Tri.TRUE
         assert inv.kappa.is_zero() is Tri.TRUE
 
     def test_sl2_e_mark_recovers_kappa(self):
-        sf, inv = constant_mode_invariants(catalog_algebra("sl2_e"),
-                                           catalog_marking("sl2_e"))
+        inv = marked_invariants("sl2_e")
         assert inv.h_tilde_is_zero() is Tri.TRUE
         assert inv.kappa == KAPPA
 
     def test_sl2_n_mark(self):
-        sf, inv = constant_mode_invariants(catalog_algebra("sl2_n"),
-                                           catalog_marking("sl2_n"))
+        inv = marked_invariants("sl2_n")
         assert inv.h_tilde[0][0] == KAPPA
         assert inv.h_tilde[1][1] == -KAPPA
         assert inv.chi == -(KAPPA ** 2)
@@ -160,7 +162,7 @@ class TestConstantModeInvariants:
     def test_bad_marking_rejected(self):
         L = catalog_algebra("sl2_e")
         with pytest.raises(BracketPatternViolation):
-            constant_mode_invariants(L, (0, 1, 2))  # [e1,e0] not proportional to X0
+            structure_functions_of_marking(L, (0, 1, 2))  # [e1,e0] not proportional to X0
 
     def test_agrees_with_coordinate_pipeline(self, heisenberg_frame):
         from sublorentz.contact import build_apparatus
@@ -168,8 +170,7 @@ class TestConstantModeInvariants:
 
         ctx = CoordinateContext(build_apparatus(heisenberg_frame))
         inv_coord = compute_invariants(ctx.sf, ctx)
-        _, inv_const = constant_mode_invariants(catalog_algebra("heisenberg"),
-                                                catalog_marking("heisenberg"))
+        inv_const = marked_invariants("heisenberg")
         assert inv_coord.chi.is_zero() is Tri.TRUE and inv_const.chi.is_zero() is Tri.TRUE
         assert inv_coord.kappa.is_zero() is Tri.TRUE and inv_const.kappa.is_zero() is Tri.TRUE
 

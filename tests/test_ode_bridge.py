@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sublorentz import expr as ex
 from sublorentz.calculus import evaluate
 from sublorentz.contact import build_apparatus, contact_locus
 from sublorentz.expr import Tri, all_zero
@@ -11,12 +12,14 @@ from sublorentz.invariants import CoordinateContext, classify, compute_invariant
 from sublorentz.ode_bridge import (
     ODE_CHART,
     build_from_ode,
-    rigid_example_rhs,
     verify_null_bundles,
 )
 from sublorentz.parsing import parse_expr, render_expr, render_field
 
 from .randgen import random_polynomial
+
+
+RIGID_Q = "(1+2*x)*exp(u) + (x+x^2)*exp(u)*p"
 
 
 def q_expr(text):
@@ -31,14 +34,17 @@ class TestBuild:
         assert render_field(s.frame.x2) == "1/2*d/dx + p/2*d/du - 1/2*d/dp"
 
     def test_contact_everywhere(self):
-        for q in (ODE_CHART.zero(), q_expr("x*p"), rigid_example_rhs()):
+        for q in (ODE_CHART.zero(), q_expr("x*p"), q_expr(RIGID_Q)):
             det = contact_locus(build_from_ode(q).frame)
             assert det.is_rational_constant()
             assert det.is_zero() is Tri.FALSE
 
     def test_rigid_rhs_expansion(self):
-        expect = q_expr("(1+2*x)*exp(u) + (x+x^2)*exp(u)*p")
-        assert (rigid_example_rhs() - expect).is_zero() is Tri.TRUE
+        # the total-derivative expansion of ((x + x^2) e^u)', built by arithmetic
+        x, u, p = (ODE_CHART.var(n) for n in ("x", "u", "p"))
+        eu = ex.exp(u)
+        expansion = (1 + 2 * x) * eu + (x + x * x) * eu * p
+        assert (q_expr(RIGID_Q) - expansion).is_zero() is Tri.TRUE
 
     def test_wrong_chart_rejected(self):
         from sublorentz.expr import Chart
@@ -55,7 +61,7 @@ class TestNullBundles:
         assert all(v is Tri.TRUE for v in checks.values()), checks
 
     def test_rigid_example(self):
-        checks = verify_null_bundles(build_from_ode(rigid_example_rhs()))
+        checks = verify_null_bundles(build_from_ode(q_expr(RIGID_Q)))
         assert all(v is Tri.TRUE for v in checks.values())
 
     def test_randomized(self):
@@ -85,7 +91,7 @@ class TestInvariantsPipeline:
         assert got.scope == "pointwise"
 
     def test_rigid_example_completes(self):
-        s = build_from_ode(rigid_example_rhs())
+        s = build_from_ode(q_expr(RIGID_Q))
         ctx = CoordinateContext(build_apparatus(s.frame))
         inv = compute_invariants(ctx.sf, ctx)
         assert inv.kappa is not None
