@@ -158,8 +158,8 @@ def adjugate3(rows):
     )
 
 
-def solve3(rows, rhs):
-    """Solve a 3x3 linear system exactly.
+def invert3(rows):
+    """Determinant and inverse of a 3x3 matrix, the only exact 3x3 solve.
 
     A canonically-zero determinant raises DegenerateFrame and an undecidable
     one raises IndeterminateDomain.
@@ -171,19 +171,4 @@ def solve3(rows, rhs):
     if z is Tri.UNKNOWN:
         raise IndeterminateDomain("cannot decide invertibility of the system")
     adj = adjugate3(rows)
-    return tuple(
-        sum((adj[i][j] * rhs[j] for j in range(3)), rows[0][0].chart.zero()) / det
-        for i in range(3)
-    )
-
-
-def invert3(rows):
-    """Inverse of a 3x3 matrix, raising as solve3 does."""
-    det = det3(rows)
-    z = det.is_zero()
-    if z is Tri.TRUE:
-        raise DegenerateFrame("singular matrix")
-    if z is Tri.UNKNOWN:
-        raise IndeterminateDomain("cannot decide invertibility of the matrix")
-    adj = adjugate3(rows)
-    return tuple(tuple(adj[i][j] / det for j in range(3)) for i in range(3))
+    return det, tuple(tuple(adj[i][j] / det for j in range(3)) for i in range(3))

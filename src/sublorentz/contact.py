@@ -4,9 +4,12 @@ field, dual coframe, and the degeneracy locus of the distribution.
 The frame (X1, X2) spans the distribution, X1 timelike and X2 spacelike, with
 the metric fixed to g(X1,X1) = -1, g(X2,X2) = 1, g(X1,X2) = 0.  The contact
 form is normalized by dw(X1, X2) = w([X2, X1]) = 1; since w annihilates the
-frame, this is the purely algebraic condition <w, [X2,X1]> = 1, so w comes
-from one exact 3x3 solve.  The Reeb field is then the unique combination
-[X2,X1] - a X1 - b X2 killing dw.
+frame, this is the purely algebraic condition <w, [X2,X1]> = 1.  So the whole
+apparatus comes from one exact inverse: the columns of the inverse of the
+matrix with rows X1, X2, B = [X2,X1] are the coframe (mu1, mu2, w) dual to
+(X1, X2, B).  The Reeb field is the unique combination X0 = B - a X1 - b X2
+killing dw, with a = dw(B, X2) and b = -dw(B, X1), and the coframe dual to
+(X0, X1, X2) is (w, mu1 + a w, mu2 + b w).
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ from dataclasses import dataclass
 from .calculus import (
     DifferentialForm,
     VectorField,
-    det3,
     evaluate,
     exterior_derivative,
     invert3,
     lie_bracket,
     one_form,
-    solve3,
     wedge,
 )
 from .expr import Chart, Expr, Tri, vanishing_loci
@@ -45,8 +46,8 @@ class Frame:
 class ContactApparatus:
     frame: Frame
     omega: DifferentialForm
+    domega: DifferentialForm
     x0: VectorField
-    nu0: DifferentialForm
     nu1: DifferentialForm
     nu2: DifferentialForm
     contact_det: Expr
@@ -55,6 +56,10 @@ class ContactApparatus:
     @property
     def chart(self) -> Chart:
         return self.frame.chart
+
+    @property
+    def nu0(self) -> DifferentialForm:
+        return self.omega
 
     @property
     def coframe(self) -> tuple[DifferentialForm, DifferentialForm, DifferentialForm]:
@@ -66,57 +71,29 @@ class ContactApparatus:
         return (self.x0, self.frame.x1, self.frame.x2)
 
 
-def contact_locus(frame: Frame) -> Expr:
-    """det[X1 | X2 | [X1,X2]]; its zero set is where the contact condition fails."""
-    b = lie_bracket(frame.x1, frame.x2)
-    return det3([frame.x1.components, frame.x2.components, b.components])
-
-
-def normalized_contact_form(frame: Frame) -> DifferentialForm:
-    chart = frame.chart
-    bracket = lie_bracket(frame.x2, frame.x1)
-    rows = [frame.x1.components, frame.x2.components, bracket.components]
-    rhs = (chart.zero(), chart.zero(), chart.one())
-    w = solve3(rows, rhs)
-    return one_form(chart, *w)
-
-
-def reeb_field(omega: DifferentialForm, frame: Frame) -> VectorField:
-    """Unique X0 with w(X0) = 1 and dw(X0, .) = 0."""
-    bracket = lie_bracket(frame.x2, frame.x1)
-    dw = exterior_derivative(omega)
-    a = evaluate(dw, [bracket, frame.x2])
-    b = -evaluate(dw, [bracket, frame.x1])
-    return bracket - frame.x1.scaled(a) - frame.x2.scaled(b)
-
-
-def dual_coframe(x0: VectorField, x1: VectorField, x2: VectorField):
-    chart = x0.chart
-    rows = [x0.components, x1.components, x2.components]
-    inv = invert3(rows)
-    return tuple(
-        one_form(chart, inv[0][i], inv[1][i], inv[2][i]) for i in range(3)
-    )
-
-
 def build_apparatus(frame: Frame) -> ContactApparatus:
     chart = frame.chart
-    det = contact_locus(frame)
-    omega = normalized_contact_form(frame)
-    x0 = reeb_field(omega, frame)
-    nu0, nu1, nu2 = dual_coframe(x0, frame.x1, frame.x2)
-    component_exprs = list(omega.components) + list(x0.components)
-    for f in (nu0, nu1, nu2):
-        component_exprs.extend(f.components)
-    denominators = [c.denominator() for c in component_exprs]
-    excluded = vanishing_loci(chart, [det] + denominators)
-    return ContactApparatus(frame, omega, x0, nu0, nu1, nu2, det, excluded)
+    x1, x2 = frame.fields
+    bracket = lie_bracket(x2, x1)
+    det, inv = invert3([x1.components, x2.components, bracket.components])
+    mu1, mu2, omega = (one_form(chart, *(row[k] for row in inv)) for k in range(3))
+    domega = exterior_derivative(omega)
+    a = evaluate(domega, [bracket, x2])
+    b = -evaluate(domega, [bracket, x1])
+    x0 = bracket - x1.scaled(a) - x2.scaled(b)
+    nu1 = mu1 + omega.scaled(a)
+    nu2 = mu2 + omega.scaled(b)
+    # det[X1 | X2 | [X1,X2]]; its zero set is where the contact condition fails.
+    contact_det = -det
+    components = omega.components + x0.components + nu1.components + nu2.components
+    excluded = vanishing_loci(chart, [contact_det] + [c.denominator() for c in components])
+    return ContactApparatus(frame, omega, domega, x0, nu1, nu2, contact_det, excluded)
 
 
 def apparatus_checks(app: ContactApparatus) -> dict[str, Tri]:
     """Tri-state ledger of the defining identities of the apparatus."""
     x0, x1, x2 = app.marked_fields
-    dw = exterior_derivative(app.omega)
+    dw = app.domega
     checks = {
         "omega(X1)=0": evaluate(app.omega, [x1]).is_zero(),
         "omega(X2)=0": evaluate(app.omega, [x2]).is_zero(),
@@ -137,7 +114,5 @@ def apparatus_checks(app: ContactApparatus) -> dict[str, Tri]:
             elif v is Tri.UNKNOWN and dual_ok is Tri.TRUE:
                 dual_ok = Tri.UNKNOWN
     checks["<nu_i,X_j>=delta_ij"] = dual_ok
-    dnu0 = exterior_derivative(app.nu0)
-    residual = dnu0 - wedge(app.nu1, app.nu2)
-    checks["dnu0=nu1^nu2"] = residual.is_zero()
+    checks["dnu0=nu1^nu2"] = (app.domega - wedge(app.nu1, app.nu2)).is_zero()
     return checks

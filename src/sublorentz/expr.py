@@ -315,14 +315,18 @@ def _nonzero_monomial_certificate(chart: Chart, num: sp.Expr, atoms) -> bool:
     itself certified nonvanishing as a function (exp and cosh never vanish;
     sinh(u) vanishes identically only for u == 0; log(u) only for u == 1).
     """
+    gens = list(atoms)
+    # Stand-ins keep every atom opaque: Poly reads exp(2) as E^2 and exp(2*x)
+    # as exp(x)^2, and then finds a generator inside another.
+    dummies = [sp.Dummy() for _ in gens]
     try:
-        poly = sp.Poly(num, *sorted(atoms, key=sp.default_sort_key))
+        poly = sp.Poly(num.xreplace(dict(zip(gens, dummies))), *dummies)
     except sp.PolynomialError:
         return False
     terms = poly.terms()
     if len(terms) != 1:
         return False
-    for atom, power in zip(poly.gens, terms[0][0]):
+    for atom, power in zip(gens, terms[0][0]):
         if power == 0:
             continue
         if isinstance(atom, (sp.exp, sp.cosh)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .calculus import VectorField, det3, evaluate, lie_bracket
+from .calculus import VectorField, evaluate, lie_bracket
 from .contact import ContactApparatus
 from .errors import DistributionNotPreserved
 from .expr import Chart, Expr, Tri, all_zero
@@ -233,7 +233,7 @@ def quadratic_frame_matrix(app: ContactApparatus, P: Expr):
     substitution uses the fraction-free rows det * nu_a and divides by det^2
     once at the end (P is homogeneous of degree 2)."""
     phase = P.chart
-    det = det3([f.components for f in app.marked_fields])
+    det = -app.contact_det  # det(X0, X1, X2)
     det2 = (det * det).lift(phase)
 
     def at_covector(w) -> Expr:

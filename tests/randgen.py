@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 
-from sublorentz.calculus import VectorField
-from sublorentz.contact import Frame, contact_locus
+from sublorentz.calculus import VectorField, det3, lie_bracket
+from sublorentz.contact import Frame
 from sublorentz.expr import Chart, Expr, Tri
 
 
@@ -59,9 +59,9 @@ def random_frame(rng: random.Random, chart: Chart) -> Frame:
         g = random_polynomial(rng, chart, max_terms=2, max_degree=2)
         x1 = VectorField(chart, (one, a, f))
         x2 = VectorField(chart, (b, one, g))
-        frame = Frame(chart, x1, x2)
-        if contact_locus(frame).is_zero() is Tri.FALSE:
-            return frame
+        contact_det = det3([x1.components, x2.components, lie_bracket(x1, x2).components])
+        if contact_det.is_zero() is Tri.FALSE:
+            return Frame(chart, x1, x2)
 
 
 def random_theta(rng: random.Random, chart: Chart) -> Expr:

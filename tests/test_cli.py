@@ -258,6 +258,31 @@ class TestComplexLog:
         assert err == "error: the log of a negative constant is not real\n"
 
 
+class TestFrameInversion:
+    """The apparatus inverts the matrix with rows X1, X2, [X2,X1]; a singular
+    matrix is an input error and an undecidable one is indeterminate."""
+
+    @staticmethod
+    def analyze(capsys, tmp_path, x1, x2):
+        path = tmp_path / "frame.toml"
+        path.write_text(f"[frame]\nX1 = {x1}\nX2 = {x2}\n")
+        return run_cli(capsys, "analyze", str(path), "--format", "json")
+
+    def test_exp_of_constant_decided(self, capsys, tmp_path):
+        code, out, err = self.analyze(capsys, tmp_path, "exp(1)*d/dx", "d/dy + x*d/dz")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "pass"
+
+    def test_singular(self, capsys, tmp_path):
+        result = self.analyze(capsys, tmp_path, "d/dx", "d/dy")
+        assert result == (3, "", "error: singular linear system\n")
+
+    def test_undecidable(self, capsys, tmp_path):
+        x2 = "d/dy + (sinh(2*x) - 2*sinh(x)*cosh(x) + x)*d/dz"
+        result = self.analyze(capsys, tmp_path, "d/dx", x2)
+        assert result == (2, "", "indeterminate: cannot decide invertibility of the system\n")
+
+
 class TestOneComputePerContext:
     """Each report computes the invariants once per frame context: once for
     one frame, twice for a frame and its rotated or dilated image."""

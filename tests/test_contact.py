@@ -5,19 +5,13 @@ import random
 import pytest
 
 from sublorentz.calculus import evaluate, exterior_derivative, wedge
-from sublorentz.contact import (
-    Frame,
-    apparatus_checks,
-    build_apparatus,
-    contact_locus,
-    normalized_contact_form,
-)
+from sublorentz.contact import Frame, apparatus_checks, build_apparatus
 from sublorentz.errors import DegenerateFrame
 from sublorentz.expr import Chart, Tri
 from sublorentz.invariants import hyperbolic_rotate
 from sublorentz.parsing import parse_expr, parse_field, render_expr
 
-from .randgen import random_theta
+from .randgen import random_frame, random_theta
 
 CH = Chart(("x", "y", "z"))
 
@@ -28,11 +22,11 @@ def exp_(text, chart=CH):
 
 class TestNormalizedContactForm:
     def test_martinet_golden(self, martinet_frame):
-        omega = normalized_contact_form(martinet_frame)
+        omega = build_apparatus(martinet_frame).omega
         assert [render_expr(c) for c in omega.components] == ["-y/3", "x/3", "2/(3*y)"]
 
     def test_heisenberg_derived(self, heisenberg_frame):
-        omega = normalized_contact_form(heisenberg_frame)
+        omega = build_apparatus(heisenberg_frame).omega
         assert [render_expr(c) for c in omega.components] == ["-y/2", "x/2", "-1"]
 
     def test_degenerate_frame(self):
@@ -40,7 +34,7 @@ class TestNormalizedContactForm:
         f = exp_("x + y")
         x2 = x1.scaled(f)
         with pytest.raises(DegenerateFrame):
-            normalized_contact_form(Frame(CH, x1, x2))
+            build_apparatus(Frame(CH, x1, x2))
 
 
 class TestReebField:
@@ -76,25 +70,34 @@ class TestDualCoframe:
 
 class TestContactLocus:
     def test_martinet_surface(self, martinet_frame):
-        det = contact_locus(martinet_frame)
+        det = build_apparatus(martinet_frame).contact_det
         assert det == exp_("-3*y/2")
         # zero set is exactly {y = 0}
         assert (det / exp_("y")).is_rational_constant()
 
     def test_heisenberg_everywhere_contact(self, heisenberg_frame):
-        det = contact_locus(heisenberg_frame)
+        det = build_apparatus(heisenberg_frame).contact_det
         assert det.is_rational_constant()
         assert det.is_zero() is Tri.FALSE
 
     def test_integrable_plane_field(self):
         frame = Frame(CH, parse_field("d/dx", CH), parse_field("d/dy", CH))
-        assert contact_locus(frame).is_zero() is Tri.TRUE
+        with pytest.raises(DegenerateFrame):
+            build_apparatus(frame)
 
 
 class TestApparatusInvariants:
-    @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame"])
+    @pytest.mark.parametrize("fixture", [
+        "martinet_frame", "heisenberg_frame", "random0", "random1", "random2", "martinet_rotated",
+    ])
     def test_all_defining_identities(self, fixture, request):
-        frame = request.getfixturevalue(fixture)
+        if fixture.startswith("random"):
+            rng = random.Random(7070)
+            frame = [random_frame(rng, CH) for _ in range(3)][int(fixture[-1])]
+        elif fixture == "martinet_rotated":
+            frame = hyperbolic_rotate(request.getfixturevalue("martinet_frame"), exp_("x*y"))
+        else:
+            frame = request.getfixturevalue(fixture)
         checks = apparatus_checks(build_apparatus(frame))
         assert all(v is Tri.TRUE for v in checks.values()), checks
 

@@ -109,6 +109,11 @@ class TestIsZero:
         assert (x * ex.cosh(u)).is_zero() is Tri.FALSE
         assert ex.sinh(x ** 2 + 1).is_zero() is Tri.FALSE
 
+    @pytest.mark.parametrize("text", ["-exp(2)", "x*exp(2) + y*exp(2)", "y*exp(2*x)"])
+    def test_monomial_in_an_atom_that_sympy_splits(self, text):
+        # sympy reads exp(2) as E^2 and exp(2*x) as exp(x)^2
+        assert parse_expr(text, CH).is_zero() is Tri.FALSE
+
     def test_never_lies_about_zero(self):
         t = var("t")
         e = (ex.cosh(t) ** 2 - 1) - ex.sinh(t) ** 2

@@ -6,7 +6,7 @@ import pytest
 
 from sublorentz import expr as ex
 from sublorentz.calculus import evaluate
-from sublorentz.contact import build_apparatus, contact_locus
+from sublorentz.contact import build_apparatus
 from sublorentz.expr import Tri, all_zero
 from sublorentz.invariants import CoordinateContext, classify, compute_invariants
 from sublorentz.ode_bridge import (
@@ -35,7 +35,7 @@ class TestBuild:
 
     def test_contact_everywhere(self):
         for q in (ODE_CHART.zero(), q_expr("x*p"), q_expr(RIGID_Q)):
-            det = contact_locus(build_from_ode(q).frame)
+            det = build_apparatus(build_from_ode(q).frame).contact_det
             assert det.is_rational_constant()
             assert det.is_zero() is Tri.FALSE
 
