@@ -62,8 +62,16 @@ def _emit(report: dict, fmt: str) -> int:
     return EXIT_CODES[report["status"]]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one `error:` line and exit 3
+    (argparse would exit 2, the code of an indeterminate verdict)."""
+
+    def error(self, message):
+        self.exit(3, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sublorentz",
         description="Exact invariants and symmetry tests for contact "
                     "sub-Lorentzian structures on 3-manifolds.",
@@ -141,6 +149,10 @@ def main(argv=None) -> int:
         return 2
     except (EngineError, ValueError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except Exception as err:  # the last boundary: any other failure is one line, never a traceback
+        detail = " ".join(str(err).split())
+        print(f"error: unexpected {type(err).__name__}: {detail}", file=sys.stderr)
         return 3
 
 

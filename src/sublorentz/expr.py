@@ -1,32 +1,51 @@
 """Exact symbolic scalars: rational functions over Q in chart coordinates and
 parameters, extended by opaque transcendental atoms exp/sinh/cosh/log.
 
-Every value is kept in a canonical normal form (a gcd-reduced fraction of
-expanded polynomials with a deterministic sign), so that two equal rational
-functions over the same generators compare structurally equal.  The single
-built-in transcendental relation cosh(u)^2 = 1 + sinh(u)^2 is applied as a
-confluent rewrite that eliminates cosh powers >= 2.
+A value free of atoms is an element of the chart's sparse rational-function
+field: sympy's `FracField` in lex order, one per chart, over ZZ.  Fractions of
+integer polynomials are the rational functions over Q; over QQ every gcd would
+first clear denominators and convert both polynomials to ZZ and back.  The
+field keeps every element a gcd-reduced fraction with coprime contents and a
+positive leading coefficient in the denominator, so equal rational functions
+are equal elements, and its arithmetic, derivative, zero test, factoring and
+determinant never build a sympy tree.  The generators are the chart's names in
+the order sympy's own `cancel` sorts them (`_sort_gens`), so an element's tree
+(`Expr.sym`) is exactly the tree `sympy.cancel` returns; the renderer permutes
+terms back to chart order.
+
+A value that holds an atom is a sympy tree.  Arithmetic on it stays lazy: the
+canonical form (`cancel`, then the confluent rewrite cosh(u)^2 = 1 + sinh(u)^2
+that eliminates cosh powers >= 2) is computed once, on first use.  A tree
+whose canonical form is free of atoms moves into the field; a field value
+that enters a tree contributes its `sym`.
 
 No floating point is admitted anywhere; coefficients are exact rationals.
-The heavy lifting (polynomial gcd, expansion, differentiation, factoring,
-determinants) is delegated to sympy, wrapped behind this module's interface:
-no other module sees the representation, so rendering lives here too.
+No other module sees the representation, so rendering lives here too.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 import sympy as sp
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
 
 from .errors import DivisionByZero, NonRealValue, UnknownSymbol
 
 _ATOM_FUNCS = (sp.exp, sp.sinh, sp.cosh, sp.log)
 
 NumberLike = Union[int, Fraction, sp.Rational]
+
+_ZERO_DIVISOR = "division by an expression that normalizes to zero"
 
 
 class Tri(enum.Enum):
@@ -78,18 +97,31 @@ class Chart:
         return Chart(self.coords, self.params + new)
 
     def zero(self) -> "Expr":
-        return Expr(self, sp.Integer(0), _canon=True)
+        return Expr(self, _field(self).zero)
 
     def one(self) -> "Expr":
-        return Expr(self, sp.Integer(1), _canon=True)
+        return Expr(self, _field(self).one)
 
     def number(self, value: NumberLike) -> "Expr":
-        return Expr(self, _to_rational(value), _canon=True)
+        q = _to_rational(value)
+        return Expr(self, _field(self)(int(q.p)) / int(q.q))
 
     def var(self, name: str) -> "Expr":
         if not self.has(name):
             raise UnknownSymbol(f"undeclared name {name!r}")
-        return Expr(self, sp.Symbol(name), _canon=True)
+        return Expr(self, _gen(self, name))
+
+
+@functools.cache
+def _field(chart: Chart) -> FracField:
+    """The chart's rational-function field; one object per chart, because
+    elements of equal but distinct fields do not combine."""
+    return FracField(_sort_gens([sp.Symbol(n) for n in chart.names]), ZZ, lex)
+
+
+def _gen(chart: Chart, name: str) -> FracElement:
+    field = _field(chart)
+    return field.gens[field.symbols.index(sp.Symbol(name))]
 
 
 def _to_rational(value: NumberLike) -> sp.Rational:
@@ -100,6 +132,21 @@ def _to_rational(value: NumberLike) -> sp.Rational:
     if isinstance(value, sp.Rational):
         return value
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
+
+
+def _tree_to_field(chart: Chart, tree: sp.Expr):
+    """The field element of an atom-free tree, or None when the tree is no
+    rational function of the chart's names (x**(1/2), a singular zoo)."""
+    field = _field(chart)
+    try:
+        f = field.from_expr(tree)
+    except ValueError:
+        return None
+    except ZeroDivisionError:
+        raise DivisionByZero("expression is singular (division by zero)") from None
+    # from_expr returns a bare 1/(1 - x) as read, with a negative leading
+    # coefficient in the denominator; reduce it to the canonical element
+    return field.new(f.numer, f.denom)
 
 
 def _rewrite_cosh_powers(e: sp.Expr) -> sp.Expr:
@@ -133,8 +180,9 @@ def _reduce_fraction(num: sp.Expr, den: sp.Expr) -> sp.Expr:
 
 
 def _canonical(e: sp.Expr) -> sp.Expr:
-    """Reduce to the canonical fraction; raises DivisionByZero on a vanishing
-    denominator (possibly revealed only by the hyperbolic rewrite)."""
+    """Reduce a tree with atoms to the canonical fraction; raises
+    DivisionByZero on a vanishing denominator (possibly revealed only by the
+    hyperbolic rewrite)."""
     if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise DivisionByZero("expression is singular (division by zero)")
     e = sp.cancel(e)
@@ -152,19 +200,40 @@ def _canonical(e: sp.Expr) -> sp.Expr:
     return e
 
 
+def _has_atoms(tree: sp.Expr) -> bool:
+    """exp(1) is the number E to sympy, so E counts as an atom."""
+    return tree.has(*_ATOM_FUNCS, sp.E)
+
+
 class Expr:
     """An immutable exact scalar over a chart.
 
-    Arithmetic builds raw trees; the canonical normal form is computed once,
-    on first use, and cached (`sym` always exposes the canonical form).
+    Built from a field element or a sympy tree; an atom-free tree moves into
+    the field.  A tree with atoms is canonicalised once, on first use, and
+    cached (`sym` always exposes the canonical tree).
     """
 
-    __slots__ = ("chart", "_raw", "_canon")
+    __slots__ = ("chart", "_frac", "_raw", "_canon")
 
-    def __init__(self, chart: Chart, sym: sp.Expr, *, _canon: bool = False):
+    def __init__(self, chart: Chart, value):
+        frac = value if isinstance(value, FracElement) else None
+        if frac is None and not _has_atoms(value):
+            frac = _tree_to_field(chart, value)
+        self._init(chart, frac, value if frac is None else None, None)
+
+    def _init(self, chart, frac, raw, canon):
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "_raw", sym)
-        object.__setattr__(self, "_canon", sym if _canon else None)
+        object.__setattr__(self, "_frac", frac)
+        object.__setattr__(self, "_raw", raw)
+        object.__setattr__(self, "_canon", canon)
+
+    @classmethod
+    def _tree(cls, chart: Chart, raw: sp.Expr, *, canonical: bool = False) -> "Expr":
+        """A tree taken as it is: the result of arithmetic on an atom, or a
+        tree already in canonical form."""
+        e = object.__new__(cls)
+        e._init(chart, None, raw, raw if canonical else None)
+        return e
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
@@ -174,13 +243,27 @@ class Expr:
         """The canonical sympy form (computed lazily, cached)."""
         c = self._canon
         if c is None:
-            c = _canonical(self._raw)
+            if self._frac is not None:
+                c = self._frac.as_expr()
+            else:
+                c = _canonical(self._raw)
+                if not _has_atoms(c):
+                    object.__setattr__(self, "_frac", _tree_to_field(self.chart, c))
             object.__setattr__(self, "_canon", c)
         return c
 
+    def _field_value(self):
+        """The field element when the canonical form is atom-free, else None
+        (canonicalises a raw tree)."""
+        if self._frac is None and self._canon is None:
+            self.sym
+        return self._frac
+
     def _operand(self) -> sp.Expr:
-        """Best available form for building compound expressions."""
-        return self._canon if self._canon is not None else self._raw
+        """Best available tree for building compound expressions."""
+        if self._frac is not None or self._canon is not None:
+            return self.sym
+        return self._raw
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -189,33 +272,39 @@ class Expr:
             if other.chart != self.chart:
                 raise UnknownSymbol("operands live on different charts")
             return other
-        return Expr(self.chart, _to_rational(other), _canon=True)
+        return self.chart.number(other)
+
+    def _combine(self, other: "Expr", op) -> "Expr":
+        if self._frac is not None and other._frac is not None:
+            return Expr(self.chart, op(self._frac, other._frac))
+        return Expr._tree(self.chart, op(self._operand(), other._operand()))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Expr(self.chart, self._operand() + o._operand())
+        return self._combine(self._coerce(other), operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Expr(self.chart, self._operand() - o._operand())
+        return self._combine(self._coerce(other), operator.sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return Expr(self.chart, o._operand() - self._operand())
+        return self._coerce(other)._combine(self, operator.sub)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return Expr(self.chart, self._operand() * o._operand())
+        return self._combine(self._coerce(other), operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o.is_zero() is Tri.TRUE:
-            raise DivisionByZero("division by an expression that normalizes to zero")
-        return Expr(self.chart, self._operand() / o.sym)
+        if o._frac is None and o.is_zero() is Tri.TRUE:
+            raise DivisionByZero(_ZERO_DIVISOR)
+        if self._frac is not None and o._frac is not None:
+            try:
+                return Expr(self.chart, self._frac / o._frac)
+            except ZeroDivisionError:
+                raise DivisionByZero(_ZERO_DIVISOR) from None
+        return Expr._tree(self.chart, self._operand() / o.sym)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -224,29 +313,51 @@ class Expr:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("only integer exponents are supported")
-        if exponent < 0 and self.is_zero() is Tri.TRUE:
+        if exponent == 0:
+            return self.chart.one()  # 0^0 = 1, as sympy reads it
+        if exponent < 0 and self._frac is None and self.is_zero() is Tri.TRUE:
             raise DivisionByZero("negative power of zero")
-        return Expr(self.chart, self._operand() ** exponent)
+        f = self._frac
+        if f is None:
+            return Expr._tree(self.chart, self._operand() ** exponent)
+        if exponent > 0:
+            return Expr(self.chart, f ** exponent)
+        if not f:
+            raise DivisionByZero("negative power of zero")
+        # 1/f, not f**-n: the field does not fix the sign of f**-n's denominator
+        return Expr(self.chart, 1 / f ** -exponent)
 
     def __neg__(self):
-        return Expr(self.chart, -self._operand())
+        if self._frac is not None:
+            return Expr(self.chart, -self._frac)
+        return Expr._tree(self.chart, -self._operand())
 
     # -- structure ----------------------------------------------------------
 
     def canonical(self) -> "Expr":
         """Self with the cached canonical form forced."""
-        self.sym
+        self._field_value()
         return self
+
+    def _key(self):
+        f = self._field_value()
+        return self.sym if f is None else f
 
     def __eq__(self, other):
         return (
             isinstance(other, Expr)
             and self.chart == other.chart
-            and self.sym == other.sym
+            and self._key() == other._key()
         )
 
     def __hash__(self):
-        return hash((self.chart, self.sym))
+        key = self._key()
+        if isinstance(key, FracElement):
+            # A polynomial caches its hash, and PolyElement.square() hashes
+            # its result before it is complete (imul_num's set lookup), so
+            # hash the terms afresh.
+            key = (frozenset(key.numer.items()), frozenset(key.denom.items()))
+        return hash((self.chart, key))
 
     def __repr__(self):
         return f"Expr({self.sym})"
@@ -255,8 +366,9 @@ class Expr:
 
     def is_zero(self) -> Tri:
         """Sound identically-zero test: never lies, may return UNKNOWN."""
-        if self.sym == 0:
-            return Tri.TRUE
+        f = self._field_value()
+        if f is not None:
+            return Tri.FALSE if f else Tri.TRUE
         num, _ = self.sym.as_numer_denom()
         atoms = num.atoms(*_ATOM_FUNCS)
         if not atoms:
@@ -266,25 +378,32 @@ class Expr:
         return Tri.UNKNOWN
 
     def is_rational_constant(self) -> bool:
-        return self.sym.is_Rational
+        f = self._field_value()
+        return f is not None and f.numer.is_ground and f.denom.is_ground
 
     def as_fraction(self) -> Fraction:
-        if not self.sym.is_Rational:
+        if not self.is_rational_constant():
             raise TypeError("expression is not a rational constant")
-        return Fraction(int(self.sym.p), int(self.sym.q))
+        return Fraction(int(self._frac.numer.LC), int(self._frac.denom.LC))
 
     def free_names(self) -> set[str]:
         return {s.name for s in self.sym.free_symbols}
 
     def denominator(self) -> "Expr":
         """The denominator of the canonical fraction."""
-        return Expr(self.chart, self.sym.as_numer_denom()[1])
+        f = self._field_value()
+        if f is None:
+            return Expr(self.chart, self.sym.as_numer_denom()[1])
+        return Expr(self.chart, f.field.new(f.denom))
 
     def lift(self, chart: Chart) -> "Expr":
         """The same value on a chart that declares every name of this one."""
         if not set(self.chart.names) <= set(chart.names):
             raise UnknownSymbol("lift target chart does not declare every name")
-        return Expr(chart, self.sym, _canon=True)
+        f = self._field_value()
+        if f is None:
+            return Expr._tree(chart, self.sym, canonical=True)
+        return Expr(chart, f.set_field(_field(chart)))
 
     # -- calculus -----------------------------------------------------------
 
@@ -293,6 +412,9 @@ class Expr:
             return self.chart.zero()
         if coord not in self.chart.coords:
             raise UnknownSymbol(f"not a chart coordinate: {coord!r}")
+        f = self._field_value()
+        if f is not None:
+            return Expr(self.chart, f.diff(_gen(self.chart, coord)))
         return Expr(self.chart, sp.diff(self.sym, sp.Symbol(coord)))
 
     def subs(self, bindings: Mapping[str, "Expr"]) -> "Expr":
@@ -380,34 +502,54 @@ def all_zero(exprs: Iterable[Expr]) -> Tri:
 
 
 def determinant(rows) -> Expr:
-    """Exact determinant of a square matrix of Exprs on one chart
-    (Berkowitz: division-free)."""
+    """Exact determinant of a square matrix of Exprs on one chart: in the
+    field when every entry is atom-free, else Berkowitz (division-free) on
+    the trees."""
     n = len(rows)
+    chart = rows[0][0].chart
+    fracs = [[e._field_value() for e in row] for row in rows]
+    if all(f is not None for row in fracs for f in row):
+        field = _field(chart)
+        return Expr(chart, DomainMatrix(fracs, (n, n), field.to_domain()).det())
     mat = sp.Matrix(n, n, lambda i, j: rows[i][j].sym)
-    return Expr(rows[0][0].chart, mat.det(method="berkowitz"))
+    return Expr(chart, mat.det(method="berkowitz"))
+
+
+def _factors(e: Expr):
+    """Irreducible non-constant factors of the numerator and denominator of
+    e's canonical fraction, as Exprs."""
+    f = e._field_value()
+    if f is not None:
+        for poly in (f.numer, f.denom):
+            if not poly.is_ground:
+                for fac, _mult in poly.factor_list()[1]:
+                    yield Expr(e.chart, f.field.new(fac))
+        return
+    for poly in e.sym.as_numer_denom():
+        if poly.is_Rational:
+            continue
+        try:
+            _, factors = sp.factor_list(poly)
+        except sp.PolynomialError:
+            factors = [(poly, 1)]
+        for fac, _mult in factors:
+            if not fac.is_Rational:
+                yield Expr(e.chart, sp.expand(fac))
 
 
 def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
-    """Irreducible factors whose zero sets were excluded along the way."""
-    seen: list[sp.Expr] = []
+    """Irreducible factors whose zero sets were excluded along the way, each
+    once up to sign."""
+    seen: list[Expr] = []
+    done: list[Expr] = []
     for e in exprs:
-        num, den = e.sym.as_numer_denom()
-        for poly in (num, den):
-            if poly.is_Rational:
-                continue
-            try:
-                _, factors = sp.factor_list(poly)
-            except sp.PolynomialError:
-                factors = [(poly, 1)]
-            for fac, _mult in factors:
-                if fac.is_Rational:
-                    continue
-                fac = sp.expand(fac)
-                if any(sp.expand(fac - s) == 0 or sp.expand(fac + s) == 0 for s in seen):
-                    continue
+        if e in done:  # denominators repeat; factor each value once
+            continue
+        done.append(e)
+        for fac in _factors(e):
+            if not any(fac == s or -fac == s for s in seen):
                 seen.append(fac)
-    ordered = sorted(seen, key=sp.default_sort_key)
-    return tuple(Expr(chart, f) for f in ordered)
+    return tuple(sorted(seen, key=lambda fac: sp.default_sort_key(fac.sym)))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -442,6 +584,18 @@ def _render_gen(chart: Chart, g: sp.Expr) -> str:
     return f"{fname}({_render_sym(chart, g.args[0])})"
 
 
+def _render_terms(names, terms) -> str:
+    """A polynomial from (monomial, coefficient) pairs over the generators
+    `names`, highest monomial first in lex order of `names`."""
+    terms = sorted(terms, key=lambda t: tuple(-k for k in t[0]))
+    if not terms:
+        return "0"
+    return join_terms(
+        _render_term(names, monom, Fraction(int(c.numerator), int(c.denominator)))
+        for monom, c in terms
+    )
+
+
 def _render_polynomial(chart: Chart, e: sp.Expr) -> str:
     if e.is_Rational:
         return _render_rational(e)
@@ -453,8 +607,7 @@ def _render_polynomial(chart: Chart, e: sp.Expr) -> str:
         # stand-ins keep every atom opaque.
         dummies = [sp.Dummy() for _ in gens]
         poly = sp.Poly(e.xreplace(dict(zip(gens, dummies))), *dummies)
-    terms = sorted(poly.terms(), key=lambda t: tuple(-k for k in t[0]))
-    return join_terms(_render_term(chart, gens, monom, coeff) for monom, coeff in terms)
+    return _render_terms([_render_gen(chart, g) for g in gens], poly.terms())
 
 
 def join_terms(terms: Iterable[str]) -> str:
@@ -463,18 +616,14 @@ def join_terms(terms: Iterable[str]) -> str:
     return first + "".join(" - " + t[1:] if t.startswith("-") else " + " + t for t in rest)
 
 
-def _render_rational(q: sp.Rational) -> str:
-    if q.q == 1:
-        return str(q.p)
-    return f"{q.p}/{q.q}"
+def _render_rational(q) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
 
 
-def _render_term(chart: Chart, gens, monom, coeff: sp.Rational) -> str:
-    factors = [
-        _render_gen(chart, g) + (f"^{k}" if k > 1 else "")
-        for g, k in zip(gens, monom)
-        if k > 0
-    ]
+def _render_term(names, monom, coeff: Fraction) -> str:
+    factors = [name + (f"^{k}" if k > 1 else "") for name, k in zip(names, monom) if k > 0]
     mon = "*".join(factors)
     if not mon:
         return _render_rational(coeff)
@@ -482,11 +631,11 @@ def _render_term(chart: Chart, gens, monom, coeff: sp.Rational) -> str:
     c = abs(coeff)
     if c == 1:
         return sign + mon
-    if c.q == 1:
-        return f"{sign}{c.p}*{mon}"
-    if c.p == 1:
-        return f"{sign}{mon}/{c.q}"
-    return f"{sign}({c.p}/{c.q})*{mon}"
+    if c.denominator == 1:
+        return f"{sign}{c.numerator}*{mon}"
+    if c.numerator == 1:
+        return f"{sign}{mon}/{c.denominator}"
+    return f"{sign}({c.numerator}/{c.denominator})*{mon}"
 
 
 def _is_atomic_string(s: str) -> bool:
@@ -498,12 +647,7 @@ def _is_atomic_string(s: str) -> bool:
     return False
 
 
-def _render_sym(chart: Chart, e: sp.Expr) -> str:
-    num, den = e.as_numer_denom()
-    num_str = _render_polynomial(chart, num)
-    if den == 1:
-        return num_str
-    den_str = _render_polynomial(chart, den)
+def _render_fraction(num_str: str, den_str: str) -> str:
     if " + " in num_str or " - " in num_str:
         num_str = f"({num_str})"
     if not _is_atomic_string(den_str):
@@ -511,6 +655,34 @@ def _render_sym(chart: Chart, e: sp.Expr) -> str:
     return f"{num_str}/{den_str}"
 
 
+def _render_sym(chart: Chart, e: sp.Expr) -> str:
+    num, den = e.as_numer_denom()
+    num_str = _render_polynomial(chart, num)
+    if den == 1:
+        return num_str
+    return _render_fraction(num_str, _render_polynomial(chart, den))
+
+
+def _render_field(chart: Chart, f: FracElement) -> str:
+    """Terms read off the numerator and denominator, permuted to chart order."""
+    symbols = f.field.symbols
+    order = [symbols.index(sp.Symbol(n)) for n in chart.names]
+
+    def render(poly):
+        return _render_terms(
+            chart.names,
+            ((tuple(monom[i] for i in order), c) for monom, c in poly.iterterms()),
+        )
+
+    num_str = render(f.numer)
+    if f.denom == 1:
+        return num_str
+    return _render_fraction(num_str, render(f.denom))
+
+
 def render_expr(e: Expr) -> str:
     """Canonical text of e in the parser's grammar."""
-    return _render_sym(e.chart, e.sym)
+    f = e._field_value()
+    if f is None:
+        return _render_sym(e.chart, e.sym)
+    return _render_field(e.chart, f)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sublorentz import invariants, lie_algebra
+from sublorentz import cli, invariants, lie_algebra
 from sublorentz import report as report_module
 from sublorentz.cli import main
 
@@ -209,6 +209,63 @@ class TestCatalogAndErrors:
 
 def nest(inner: str, levels: int = 3000) -> str:
     return "(" * levels + inner + ")" * levels
+
+
+class TestUsageErrors:
+    """A usage error is an input error: one `error:` line and exit 3, not
+    argparse's 2, which means an indeterminate verdict here."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rotate", "martinet"],
+        ["analyze"],
+        ["algebra", "sl2_e", "--kappa", "-1/3"],  # argparse reads -1/3 as an option
+    ])
+    def test_exit_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out = capsys.readouterr()
+        assert stop.value.code == 3
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    def test_negative_kappa_with_equals_sign(self, capsys):
+        code, report, _ = run_json(capsys, "algebra", "sl2_e", "--kappa=-1/3")
+        assert code == 0
+        assert report["invariants"]["kappa"] == "-1/3"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+class TestUnexpectedFailure:
+    """Any other exception ends in one `error:` line and exit 3; interrupts
+    pass through."""
+
+    def test_one_line_exit_3(self, capsys, monkeypatch):
+        def fail(defn):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "analyze_definition", fail)
+        code, out, err = run_cli(capsys, "analyze", "martinet")
+        assert (code, out) == (3, "")
+        assert err == "error: unexpected RuntimeError: first line second line\n"
+
+    def test_value_the_kernel_cannot_render(self, capsys):
+        # sympy turns exp(log(u)/2) into sqrt(u), which no polynomial holds
+        code, out, err = run_cli(capsys, "ode", "--Q", "exp(log(u)/2)")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: unexpected ") and err.count("\n") == 1
+
+    def test_interrupt_passes_through(self, monkeypatch):
+        def interrupt(defn):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "analyze_definition", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["analyze", "martinet"])
 
 
 class TestNestingLimit:
