@@ -29,8 +29,6 @@ class VectorField:
             raise ValueError("vector fields require a 3-coordinate chart")
         if len(self.components) != 3:
             raise ValueError("a vector field has exactly three components")
-        for c in self.components:
-            c.canonical()
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
@@ -74,8 +72,6 @@ class DifferentialForm:
             raise ValueError("degree must be 1 or 2")
         if len(self.components) != 3:
             raise ValueError("a form has exactly three components")
-        for c in self.components:
-            c.canonical()
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if self.degree != other.degree:

@@ -13,6 +13,11 @@ class NonRealValue(EngineError):
     """A value that is not real, such as the log of a negative constant."""
 
 
+class NonRationalValue(EngineError):
+    """A value that is no rational function of the names and their
+    exp/sinh/cosh/log atoms, such as sqrt(u)."""
+
+
 class UnknownSymbol(EngineError):
     """An identifier that is not declared in the chart."""
 

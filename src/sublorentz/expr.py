@@ -1,23 +1,17 @@
-"""Exact symbolic scalars: rational functions over Q in chart coordinates and
-parameters, extended by opaque transcendental atoms exp/sinh/cosh/log.
+"""Exact symbolic scalars: rational functions over Q of chart coordinates,
+parameters and the atoms exp, sinh, cosh and log.
 
-A value free of atoms is an element of the chart's sparse rational-function
-field: sympy's `FracField` in lex order, one per chart, over ZZ.  Fractions of
-integer polynomials are the rational functions over Q; over QQ every gcd would
-first clear denominators and convert both polynomials to ZZ and back.  The
-field keeps every element a gcd-reduced fraction with coprime contents and a
-positive leading coefficient in the denominator, so equal rational functions
-are equal elements, and its arithmetic, derivative, zero test, factoring and
-determinant never build a sympy tree.  The generators are the chart's names in
-the order sympy's own `cancel` sorts them (`_sort_gens`), so an element's tree
-(`Expr.sym`) is exactly the tree `sympy.cancel` returns; the renderer permutes
-terms back to chart order.
-
-A value that holds an atom is a sympy tree.  Arithmetic on it stays lazy: the
-canonical form (`cancel`, then the confluent rewrite cosh(u)^2 = 1 + sinh(u)^2
-that eliminates cosh powers >= 2) is computed once, on first use.  A tree
-whose canonical form is free of atoms moves into the field; a field value
-that enters a tree contributes its `sym`.
+A value is an element of sympy's sparse `FracField` over ZZ in lex order (over
+QQ every gcd would first convert both polynomials to ZZ and back), whose
+generators are the chart's names and the atoms the value holds, read as
+`sympy.cancel` reads a tree: an exp of a sum is a product of exps, and exp(c*t)
+for a rational c is a power of exp(t/n), the one generator of the term t.  They
+are sorted as `cancel` sorts them (`_sort_gens`, ties kept in chart order), so
+`Expr.sym` prints as the tree `cancel` returns.  cosh(u) comes with sinh(u) and
+is of degree <= 1 by cosh(u)^2 = 1 + sinh(u)^2, which also takes a cosh(u)
+that divides the denominator out of it; any other cosh stays below
+(`_fold_cosh`).  The fraction is gcd-reduced with a positive leading
+coefficient below, in the field of exactly its atoms.
 
 No floating point is admitted anywhere; coefficients are exact rationals.
 No other module sees the representation, so rendering lives here too.
@@ -27,6 +21,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,13 +35,15 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 
-from .errors import DivisionByZero, NonRealValue, UnknownSymbol
+from .errors import DivisionByZero, NonRationalValue, NonRealValue, UnknownSymbol
 
-_ATOM_FUNCS = (sp.exp, sp.sinh, sp.cosh, sp.log)
+_ATOM_FUNCS = (sp.exp, sp.sinh, sp.cosh, sp.log)  # and the number E, which is exp(1)
 
 NumberLike = Union[int, Fraction, sp.Rational]
 
 _ZERO_DIVISOR = "division by an expression that normalizes to zero"
+_SINGULAR = "expression is singular (division by zero)"
+_NON_RATIONAL = "{} is not a rational function of the names and exp/sinh/cosh/log atoms"
 
 
 class Tri(enum.Enum):
@@ -97,31 +95,22 @@ class Chart:
         return Chart(self.coords, self.params + new)
 
     def zero(self) -> "Expr":
-        return Expr(self, _field(self).zero)
+        return Expr(self, _field(self, frozenset()).zero)
 
     def one(self) -> "Expr":
-        return Expr(self, _field(self).one)
+        return Expr(self, _field(self, frozenset()).one)
 
     def number(self, value: NumberLike) -> "Expr":
         q = _to_rational(value)
-        return Expr(self, _field(self)(int(q.p)) / int(q.q))
+        return Expr(self, _field(self, frozenset())(int(q.p)) / int(q.q))
 
     def var(self, name: str) -> "Expr":
         if not self.has(name):
             raise UnknownSymbol(f"undeclared name {name!r}")
-        return Expr(self, _gen(self, name))
+        return Expr(self, _gen(_field(self, frozenset()), name))
 
 
-@functools.cache
-def _field(chart: Chart) -> FracField:
-    """The chart's rational-function field; one object per chart, because
-    elements of equal but distinct fields do not combine."""
-    return FracField(_sort_gens([sp.Symbol(n) for n in chart.names]), ZZ, lex)
-
-
-def _gen(chart: Chart, name: str) -> FracElement:
-    field = _field(chart)
-    return field.gens[field.symbols.index(sp.Symbol(name))]
+# -- the fields ------------------------------------------------------------------
 
 
 def _to_rational(value: NumberLike) -> sp.Rational:
@@ -134,136 +123,211 @@ def _to_rational(value: NumberLike) -> sp.Rational:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
-def _tree_to_field(chart: Chart, tree: sp.Expr):
-    """The field element of an atom-free tree, or None when the tree is no
-    rational function of the chart's names (x**(1/2), a singular zoo)."""
-    field = _field(chart)
-    try:
-        f = field.from_expr(tree)
-    except ValueError:
-        return None
-    except ZeroDivisionError:
-        raise DivisionByZero("expression is singular (division by zero)") from None
-    # from_expr returns a bare 1/(1 - x) as read, with a negative leading
-    # coefficient in the denominator; reduce it to the canonical element
-    return field.new(f.numer, f.denom)
+def _exp_key(g):
+    """(key, c): for g = exp(c*t) with a rational c, key is ("exp", t); for
+    any other generator, g and 1.  sympy writes exp(1) as the number E."""
+    if not (g is sp.E or isinstance(g, sp.exp)):
+        return g, Fraction(1)
+    c, t = (g.args[0] if g is not sp.E else sp.S.One).as_coeff_Mul(rational=True)
+    return ("exp", t), Fraction(int(c.p), int(c.q))
 
 
-def _rewrite_cosh_powers(e: sp.Expr) -> sp.Expr:
-    """Eliminate cosh(u)^n for n >= 2 via cosh^2 = 1 + sinh^2."""
-
-    def pred(node):
-        return (
-            node.is_Pow
-            and node.exp.is_Integer
-            and node.exp >= 2
-            and isinstance(node.base, sp.cosh)
-        )
-
-    def repl(node):
-        u = node.base.args[0]
-        q, r = divmod(int(node.exp), 2)
-        return (1 + sp.sinh(u) ** 2) ** q * sp.cosh(u) ** r
-
-    return e.replace(pred, repl)
+@functools.cache
+def _field(chart: Chart, atoms: frozenset) -> FracField:
+    """The field of the chart's names and `atoms`: the exps of one term t
+    share the generator exp(t/n), and each cosh(u) comes with sinh(u)."""
+    denoms = {}
+    for a in atoms:
+        key, c = _exp_key(a)
+        denoms[key] = math.lcm(denoms.get(key, 1), c.denominator)
+        if isinstance(a, sp.cosh):
+            denoms[sp.sinh(a.args[0])] = 1
+    gens = sorted((sp.exp(k[1] / n) if isinstance(k, tuple) else k for k, n in denoms.items()),
+                  key=sp.default_sort_key)
+    return _field_of(_sort_gens([sp.Symbol(n) for n in chart.names] + gens))
 
 
-def _reduce_fraction(num: sp.Expr, den: sp.Expr) -> sp.Expr:
-    """num, den expanded polynomials in the generators; gcd-reduce exactly."""
-    if den == 0:
-        raise DivisionByZero("denominator normalizes to zero")
-    if num == 0:
-        return sp.Integer(0)
-    if den.is_Rational:
-        return sp.expand(num / den)
-    return sp.cancel(num / den)
+@functools.cache
+def _field_of(symbols: tuple) -> FracField:
+    """One object per generator tuple, because elements of equal but
+    distinct fields do not combine."""
+    return FracField(symbols, ZZ, lex)
 
 
-def _canonical(e: sp.Expr) -> sp.Expr:
-    """Reduce a tree with atoms to the canonical fraction; raises
-    DivisionByZero on a vanishing denominator (possibly revealed only by the
-    hyperbolic rewrite)."""
-    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-        raise DivisionByZero("expression is singular (division by zero)")
-    e = sp.cancel(e)
-    if e.has(sp.cosh):
-        # cosh-degree strictly decreases per pass, so this terminates quickly.
-        for _ in range(64):
-            num, den = e.as_numer_denom()
-            num2 = _rewrite_cosh_powers(num)
-            den2 = _rewrite_cosh_powers(den)
-            if num2 == num and den2 == den:
-                break
-            e = _reduce_fraction(sp.expand(num2), sp.expand(den2))
-    if e.has(sp.zoo, sp.nan):
-        raise DivisionByZero("expression is singular (division by zero)")
-    return e
+def _union(chart: Chart, *fields: FracField) -> FracField:
+    """The field on `chart` where values of `fields` meet."""
+    return _field(chart, frozenset().union(*map(_atoms, fields)))
 
 
-def _has_atoms(tree: sp.Expr) -> bool:
-    """exp(1) is the number E to sympy, so E counts as an atom."""
-    return tree.has(*_ATOM_FUNCS, sp.E)
+@functools.cache
+def _gen(field: FracField, name: str) -> FracElement:
+    return field.gens[field.symbols.index(sp.Symbol(name))]
+
+
+@functools.cache
+def _atoms(field: FracField) -> dict:
+    """Each generator that is no chart name, with its index."""
+    return {g: i for i, g in enumerate(field.symbols) if not g.is_Symbol}
+
+
+@functools.cache
+def _coshes(field: FracField) -> tuple:
+    """(index, cosh(u), 1 + sinh(u)^2) in the ring, per cosh generator."""
+    gens = field.ring.gens
+    return tuple((i, gens[i], 1 + gens[field.symbols.index(sp.sinh(a.args[0]))] ** 2)
+                 for a, i in _atoms(field).items() if isinstance(a, sp.cosh))
+
+
+def _fold_cosh(f: FracElement) -> FracElement:
+    """f with each cosh(u) of degree at most 1 and out of a denominator that
+    it divides: n/(d*cosh(u)) = n*cosh(u)/(d*(1 + sinh(u)^2)).  Any other
+    cosh stays below, because the conjugate d0 - d1*cosh(u) may vanish where
+    d0 + d1*cosh(u) does not: 1 + 2*sinh(y)^2 - cosh(2*y) is 0 everywhere."""
+    coshes = _coshes(f.field)
+    numer, denom = f.numer, f.denom
+    if all(numer.degree(c) < 2 and denom.degree(c) < 2 and not _divides(i, denom)
+           for i, c, _ in coshes):
+        return f
+    relations = [c ** 2 - c2 for _, c, c2 in coshes]
+    numer, denom = numer.rem(relations), denom.rem(relations)
+    for i, c, c2 in coshes:
+        if _divides(i, denom):
+            numer, denom = (numer * c).rem(relations), denom.exquo(c) * c2
+    return f.field.new(numer, denom)
+
+
+def _divides(i: int, poly) -> bool:
+    """True when the i-th generator divides `poly`."""
+    return all(monom[i] for monom in poly.itermonoms())
+
+
+@functools.cache
+def _plan(src: FracField, dst: FracField) -> tuple:
+    """For each generator of src: its index in dst (None when no value
+    converted from src holds it) and the factor p/q on its exponent, as
+    exp(t/n) of src is exp(t/m)^(m/n) in dst."""
+    where = {key: (j, c) for j, (key, c) in enumerate(map(_exp_key, dst.symbols))}
+    plan = []
+    for key, c in map(_exp_key, src.symbols):
+        j, d = where.get(key, (None, c))
+        plan.append((j, (c / d).numerator, (c / d).denominator))
+    return tuple(plan)
+
+
+def _convert(f: FracElement, dst: FracField) -> FracElement:
+    """f as an element of dst, which holds every atom f uses."""
+    if f.field is dst:
+        return f
+    plan = _plan(f.field, dst)
+
+    def remap(poly):
+        terms = {}
+        for monom, c in poly.iterterms():
+            m = [0] * dst.ngens
+            for (j, p, q), k in zip(plan, monom):
+                if k:
+                    m[j] += k * p // q
+            terms[tuple(m)] = c
+        return dst.ring.dtype(terms)
+
+    numer, denom = remap(f.numer), remap(f.denom)
+    # The map is injective on monomials and keeps the fraction reduced; only
+    # the sign of the leading coefficient below depends on the generator order.
+    if denom.LC < 0:
+        numer, denom = -numer, -denom
+    return dst.raw_new(numer, denom)
+
+
+def _own_field(chart: Chart, f: FracElement) -> FracField:
+    """The field of exactly the atoms f holds; an exp(t/n) whose exponents
+    share the factor k in f is a power of exp(k*t/n)."""
+    atoms, used = _atoms(f.field), {}
+    for monom in itertools.chain(f.numer.itermonoms(), f.denom.itermonoms()):
+        for a, i in atoms.items():
+            if monom[i]:
+                used[a] = math.gcd(used.get(a, 0), monom[i])
+    return _field(chart, frozenset(
+        a ** k if a is sp.E or isinstance(a, sp.exp) else a for a, k in used.items()))
+
+
+def _read(chart: Chart, tree: sp.Expr) -> "Expr":
+    """The value of a sympy tree, read as sympy.cancel reads it: expanded, so
+    an exp of a sum is a product of exps, and exp(c*t) is a power of exp(t/n)."""
+    def read(t):
+        if t.is_Symbol:
+            return chart.var(t.name)
+        if t.is_Rational:
+            return chart.number(t)
+        if t.is_Add or t.is_Mul:
+            return functools.reduce(operator.add if t.is_Add else operator.mul, map(read, t.args))
+        base, k = t.as_base_exp()
+        if base is sp.E:
+            c, term = k.as_coeff_Mul(rational=True)
+            return _atom_value(chart, sp.exp(term / c.q)) ** int(c.p)
+        if k.is_Integer and k != 1:
+            return read(base) ** int(k)
+        if isinstance(t, (sp.sinh, sp.cosh, sp.log)):
+            return _atom_value(chart, t)
+        raise NonRationalValue(_NON_RATIONAL.format(sp.sstr(t)))
+
+    if tree.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise DivisionByZero(_SINGULAR)
+    if tree.has(*_ATOM_FUNCS, sp.E):
+        tree = sp.factor_terms(sp.signsimp(tree), radical=True).expand()
+    return read(tree)
+
+
+@functools.cache
+def _argument(chart: Chart, atom: sp.Expr) -> "Expr":
+    """The value u of an atom exp(u), sinh(u), cosh(u) or log(u)."""
+    return chart.one() if atom is sp.E else _read(chart, atom.args[0])
+
+
+@functools.cache
+def _atom_value(chart: Chart, atom: sp.Expr) -> "Expr":
+    _argument(chart, atom)  # refuses an argument that is no value
+    field = _field(chart, frozenset({atom}))
+    return Expr(chart, field.gens[_atoms(field)[atom]])
+
+
+@functools.cache
+def _derivative(chart: Chart, atom: sp.Expr, coord: str) -> "Expr":
+    """d atom / d coord, by the chain rule."""
+    u = _argument(chart, atom)
+    du = u.diff(coord)
+    if isinstance(atom, sp.sinh):
+        return du * cosh(u)
+    if isinstance(atom, sp.cosh):
+        return du * sinh(u)
+    if isinstance(atom, sp.log):
+        return du / u
+    return du * _atom_value(chart, atom)
 
 
 class Expr:
-    """An immutable exact scalar over a chart.
+    """An immutable exact scalar over a chart, built from a field element or
+    a sympy tree: one element of a `_field`, in the form the module
+    docstring describes."""
 
-    Built from a field element or a sympy tree; an atom-free tree moves into
-    the field.  A tree with atoms is canonicalised once, on first use, and
-    cached (`sym` always exposes the canonical tree).
-    """
-
-    __slots__ = ("chart", "_frac", "_raw", "_canon")
+    __slots__ = ("chart", "_frac")
 
     def __init__(self, chart: Chart, value):
-        frac = value if isinstance(value, FracElement) else None
-        if frac is None and not _has_atoms(value):
-            frac = _tree_to_field(chart, value)
-        self._init(chart, frac, value if frac is None else None, None)
-
-    def _init(self, chart, frac, raw, canon):
+        if not isinstance(value, FracElement):
+            value = _read(chart, value)._frac
+        elif _atoms(value.field):
+            value = _fold_cosh(value)
+            value = _convert(value, _own_field(chart, value))
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "_frac", frac)
-        object.__setattr__(self, "_raw", raw)
-        object.__setattr__(self, "_canon", canon)
-
-    @classmethod
-    def _tree(cls, chart: Chart, raw: sp.Expr, *, canonical: bool = False) -> "Expr":
-        """A tree taken as it is: the result of arithmetic on an atom, or a
-        tree already in canonical form."""
-        e = object.__new__(cls)
-        e._init(chart, None, raw, raw if canonical else None)
-        return e
+        object.__setattr__(self, "_frac", value)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
     @property
     def sym(self) -> sp.Expr:
-        """The canonical sympy form (computed lazily, cached)."""
-        c = self._canon
-        if c is None:
-            if self._frac is not None:
-                c = self._frac.as_expr()
-            else:
-                c = _canonical(self._raw)
-                if not _has_atoms(c):
-                    object.__setattr__(self, "_frac", _tree_to_field(self.chart, c))
-            object.__setattr__(self, "_canon", c)
-        return c
-
-    def _field_value(self):
-        """The field element when the canonical form is atom-free, else None
-        (canonicalises a raw tree)."""
-        if self._frac is None and self._canon is None:
-            self.sym
-        return self._frac
-
-    def _operand(self) -> sp.Expr:
-        """Best available tree for building compound expressions."""
-        if self._frac is not None or self._canon is not None:
-            return self.sym
-        return self._raw
+        """The value as a sympy tree: numerator over denominator, printed as
+        the tree sympy.cancel makes of it."""
+        return self._frac.as_expr()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -275,9 +339,11 @@ class Expr:
         return self.chart.number(other)
 
     def _combine(self, other: "Expr", op) -> "Expr":
-        if self._frac is not None and other._frac is not None:
-            return Expr(self.chart, op(self._frac, other._frac))
-        return Expr._tree(self.chart, op(self._operand(), other._operand()))
+        a, b = self._frac, other._frac
+        if a.field is not b.field:
+            field = _union(self.chart, a.field, b.field)
+            a, b = _convert(a, field), _convert(b, field)
+        return Expr(self.chart, op(a, b))
 
     def __add__(self, other):
         return self._combine(self._coerce(other), operator.add)
@@ -297,29 +363,19 @@ class Expr:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o._frac is None and o.is_zero() is Tri.TRUE:
+        if not o._frac:
             raise DivisionByZero(_ZERO_DIVISOR)
-        if self._frac is not None and o._frac is not None:
-            try:
-                return Expr(self.chart, self._frac / o._frac)
-            except ZeroDivisionError:
-                raise DivisionByZero(_ZERO_DIVISOR) from None
-        return Expr._tree(self.chart, self._operand() / o.sym)
+        return self._combine(o, operator.truediv)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
+        return self._coerce(other) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("only integer exponents are supported")
         if exponent == 0:
             return self.chart.one()  # 0^0 = 1, as sympy reads it
-        if exponent < 0 and self._frac is None and self.is_zero() is Tri.TRUE:
-            raise DivisionByZero("negative power of zero")
         f = self._frac
-        if f is None:
-            return Expr._tree(self.chart, self._operand() ** exponent)
         if exponent > 0:
             return Expr(self.chart, f ** exponent)
         if not f:
@@ -328,36 +384,20 @@ class Expr:
         return Expr(self.chart, 1 / f ** -exponent)
 
     def __neg__(self):
-        if self._frac is not None:
-            return Expr(self.chart, -self._frac)
-        return Expr._tree(self.chart, -self._operand())
+        return Expr(self.chart, -self._frac)
 
     # -- structure ----------------------------------------------------------
 
-    def canonical(self) -> "Expr":
-        """Self with the cached canonical form forced."""
-        self._field_value()
-        return self
-
-    def _key(self):
-        f = self._field_value()
-        return self.sym if f is None else f
-
     def __eq__(self, other):
-        return (
-            isinstance(other, Expr)
-            and self.chart == other.chart
-            and self._key() == other._key()
-        )
+        return (isinstance(other, Expr) and self.chart == other.chart
+                and self._frac.field is other._frac.field and self._frac == other._frac)
 
     def __hash__(self):
-        key = self._key()
-        if isinstance(key, FracElement):
-            # A polynomial caches its hash, and PolyElement.square() hashes
-            # its result before it is complete (imul_num's set lookup), so
-            # hash the terms afresh.
-            key = (frozenset(key.numer.items()), frozenset(key.denom.items()))
-        return hash((self.chart, key))
+        # A polynomial caches its hash, and PolyElement.square() hashes its
+        # result before it is complete (imul_num's set lookup), so hash the
+        # terms afresh.
+        f = self._frac
+        return hash((self.chart, frozenset(f.numer.items()), frozenset(f.denom.items())))
 
     def __repr__(self):
         return f"Expr({self.sym})"
@@ -365,21 +405,19 @@ class Expr:
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> Tri:
-        """Sound identically-zero test: never lies, may return UNKNOWN."""
-        f = self._field_value()
-        if f is not None:
-            return Tri.FALSE if f else Tri.TRUE
-        num, _ = self.sym.as_numer_denom()
-        atoms = num.atoms(*_ATOM_FUNCS)
-        if not atoms:
+        """Sound identically-zero test: never lies, may return UNKNOWN.
+        A value with atoms is nonzero when its numerator is a certified
+        monomial (`_nonzero_monomial_certificate`)."""
+        f = self._frac
+        if not f:
+            return Tri.TRUE
+        if not _atoms(f.field):
             return Tri.FALSE
-        if _nonzero_monomial_certificate(self.chart, num, atoms):
-            return Tri.FALSE
-        return Tri.UNKNOWN
+        return Tri.FALSE if _nonzero_monomial_certificate(self.chart, f.field, f.numer) else Tri.UNKNOWN
 
     def is_rational_constant(self) -> bool:
-        f = self._field_value()
-        return f is not None and f.numer.is_ground and f.denom.is_ground
+        f = self._frac
+        return not _atoms(f.field) and f.numer.is_ground and f.denom.is_ground
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational_constant():
@@ -391,72 +429,58 @@ class Expr:
 
     def denominator(self) -> "Expr":
         """The denominator of the canonical fraction."""
-        f = self._field_value()
-        if f is None:
-            return Expr(self.chart, self.sym.as_numer_denom()[1])
+        f = self._frac
         return Expr(self.chart, f.field.new(f.denom))
 
     def lift(self, chart: Chart) -> "Expr":
         """The same value on a chart that declares every name of this one."""
         if not set(self.chart.names) <= set(chart.names):
             raise UnknownSymbol("lift target chart does not declare every name")
-        f = self._field_value()
-        if f is None:
-            return Expr._tree(chart, self.sym, canonical=True)
-        return Expr(chart, f.set_field(_field(chart)))
+        return Expr(chart, _convert(self._frac, _union(chart, self._frac.field)))
 
     # -- calculus -----------------------------------------------------------
 
     def diff(self, coord: str) -> "Expr":
+        """d/d coord: the partial derivative in the coordinate, plus, by the
+        chain rule, the partial in each atom times the atom's derivative."""
         if coord in self.chart.params:
             return self.chart.zero()
         if coord not in self.chart.coords:
             raise UnknownSymbol(f"not a chart coordinate: {coord!r}")
-        f = self._field_value()
-        if f is not None:
-            return Expr(self.chart, f.diff(_gen(self.chart, coord)))
-        return Expr(self.chart, sp.diff(self.sym, sp.Symbol(coord)))
+        f = self._frac
+        out = Expr(self.chart, f.diff(_gen(f.field, coord)))
+        for atom, i in _atoms(f.field).items():
+            d_atom = _derivative(self.chart, atom, coord)
+            if d_atom._frac:
+                out = out + Expr(self.chart, f.diff(f.field.gens[i])) * d_atom
+        return out
 
     def subs(self, bindings: Mapping[str, "Expr"]) -> "Expr":
         mapping = {}
         for name, value in bindings.items():
             if not self.chart.has(name):
                 raise UnknownSymbol(f"binding targets undeclared name {name!r}")
-            v = value if isinstance(value, Expr) else self.chart.number(value)
-            if v.chart != self.chart:
-                raise UnknownSymbol("substitution value lives on a different chart")
-            mapping[sp.Symbol(name)] = v.sym
-        return Expr(self.chart, self.sym.xreplace(mapping)).canonical()
+            mapping[sp.Symbol(name)] = self._coerce(value).sym
+        return Expr(self.chart, self.sym.xreplace(mapping))
 
 
-def _nonzero_monomial_certificate(chart: Chart, num: sp.Expr, atoms) -> bool:
-    """True when `num` is certain not to be the zero function.
-
-    Sound sufficient condition: `num` is a single monomial c * prod(atom^k)
-    with a nonzero rational-function coefficient, where each atom factor is
-    itself certified nonvanishing as a function (exp and cosh never vanish;
-    sinh(u) vanishes identically only for u == 0; log(u) only for u == 1).
-    """
-    gens = list(atoms)
-    # Stand-ins keep every atom opaque: Poly reads exp(2) as E^2 and exp(2*x)
-    # as exp(x)^2, and then finds a generator inside another.
-    dummies = [sp.Dummy() for _ in gens]
-    try:
-        poly = sp.Poly(num.xreplace(dict(zip(gens, dummies))), *dummies)
-    except sp.PolynomialError:
+def _nonzero_monomial_certificate(chart: Chart, field: FracField, poly) -> bool:
+    """True when the polynomial `poly` of `field` is a single monomial in the
+    atoms, exp(c) for a rational c counting as a coefficient (Lindemann: it
+    is transcendental), and each atom factor is certified nonvanishing as a
+    function: exp and cosh never vanish; sinh(u) vanishes identically only
+    for u == 0; log(u) only for u == 1.  Then it is not the zero function."""
+    atoms = [(i, a) for a, i in _atoms(field).items() if _exp_key(a)[0] != ("exp", 1)]
+    monoms = {tuple(m[i] for i, _ in atoms) for m in poly.itermonoms()}
+    if len(monoms) != 1:
         return False
-    terms = poly.terms()
-    if len(terms) != 1:
-        return False
-    for atom, power in zip(gens, terms[0][0]):
-        if power == 0:
+    for (_, atom), power in zip(atoms, monoms.pop()):
+        if power == 0 or isinstance(atom, (sp.exp, sp.cosh)):
             continue
-        if isinstance(atom, (sp.exp, sp.cosh)):
+        u = _argument(chart, atom)
+        if isinstance(atom, sp.sinh) and u.is_zero() is Tri.FALSE:
             continue
-        arg = Expr(chart, atom.args[0])
-        if isinstance(atom, sp.sinh) and arg.is_zero() is Tri.FALSE:
-            continue
-        if isinstance(atom, sp.log) and (arg - 1).is_zero() is Tri.FALSE:
+        if isinstance(atom, sp.log) and (u - 1).is_zero() is Tri.FALSE:
             continue
         return False
     return True
@@ -466,24 +490,35 @@ def _nonzero_monomial_certificate(chart: Chart, num: sp.Expr, atoms) -> bool:
 
 
 def exp(e: Expr) -> Expr:
-    return Expr(e.chart, sp.exp(e.sym))
+    return _read(e.chart, sp.exp(e.sym))
 
 
 def sinh(e: Expr) -> Expr:
-    return Expr(e.chart, sp.sinh(e.sym))
+    return _read(e.chart, sp.sinh(e.sym))
 
 
 def cosh(e: Expr) -> Expr:
-    return Expr(e.chart, sp.cosh(e.sym))
+    return _read(e.chart, sp.cosh(e.sym))
 
 
 def log(e: Expr) -> Expr:
-    """Logs are read on the domain where their argument is positive; a value
-    that sympy makes complex (log(-1) = I*pi) is refused."""
+    """Logs are read on the domain where their argument is positive.  A value
+    that sympy makes complex (log(-1) = I*pi) is refused, and so is an
+    argument that is certainly positive nowhere."""
     value = sp.log(e.sym)
     if value.has(sp.I):
         raise NonRealValue("the log of a negative constant is not real")
-    return Expr(e.chart, value)
+    if _nowhere_positive(e._frac):
+        raise NonRealValue("the log of a value that is positive nowhere is not real")
+    return _read(e.chart, value)
+
+
+def _nowhere_positive(f: FracElement) -> bool:
+    """True when f is free of atoms, its numerator and denominator each have
+    only even exponents and coefficients of one sign, and the signs differ."""
+    signs = [{c > 0 for c in p.itercoeffs()} for p in (f.numer, f.denom)
+             if not any(k % 2 for m in p.itermonoms() for k in m)]
+    return not _atoms(f.field) and signs in ([{True}, {False}], [{False}, {True}])
 
 
 def all_zero(exprs: Iterable[Expr]) -> Tri:
@@ -502,53 +537,35 @@ def all_zero(exprs: Iterable[Expr]) -> Tri:
 
 
 def determinant(rows) -> Expr:
-    """Exact determinant of a square matrix of Exprs on one chart: in the
-    field when every entry is atom-free, else Berkowitz (division-free) on
-    the trees."""
+    """Exact determinant of a square matrix of Exprs on one chart, in the
+    field of all their atoms."""
     n = len(rows)
     chart = rows[0][0].chart
-    fracs = [[e._field_value() for e in row] for row in rows]
-    if all(f is not None for row in fracs for f in row):
-        field = _field(chart)
-        return Expr(chart, DomainMatrix(fracs, (n, n), field.to_domain()).det())
-    mat = sp.Matrix(n, n, lambda i, j: rows[i][j].sym)
-    return Expr(chart, mat.det(method="berkowitz"))
-
-
-def _factors(e: Expr):
-    """Irreducible non-constant factors of the numerator and denominator of
-    e's canonical fraction, as Exprs."""
-    f = e._field_value()
-    if f is not None:
-        for poly in (f.numer, f.denom):
-            if not poly.is_ground:
-                for fac, _mult in poly.factor_list()[1]:
-                    yield Expr(e.chart, f.field.new(fac))
-        return
-    for poly in e.sym.as_numer_denom():
-        if poly.is_Rational:
-            continue
-        try:
-            _, factors = sp.factor_list(poly)
-        except sp.PolynomialError:
-            factors = [(poly, 1)]
-        for fac, _mult in factors:
-            if not fac.is_Rational:
-                yield Expr(e.chart, sp.expand(fac))
+    field = _union(chart, *(e._frac.field for row in rows for e in row))
+    fracs = [[_convert(e._frac, field) for e in row] for row in rows]
+    return Expr(chart, DomainMatrix(fracs, (n, n), field.to_domain()).det())
 
 
 def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
-    """Irreducible factors whose zero sets were excluded along the way, each
-    once up to sign."""
+    """Irreducible non-constant factors of the numerators and denominators of
+    `exprs`, whose zero sets were excluded along the way, each once up to sign.
+    1 + sinh(u)^2, which a cosh leaves below, vanishes nowhere and is left out."""
     seen: list[Expr] = []
     done: list[Expr] = []
     for e in exprs:
         if e in done:  # denominators repeat; factor each value once
             continue
         done.append(e)
-        for fac in _factors(e):
-            if not any(fac == s or -fac == s for s in seen):
-                seen.append(fac)
+        f = e._frac
+        gens = f.field.ring.gens
+        units = [1 + gens[i] ** 2 for a, i in _atoms(f.field).items() if isinstance(a, sp.sinh)]
+        for poly in (f.numer, f.denom):
+            for fac, _mult in poly.factor_list()[1]:
+                if fac in units or -fac in units:
+                    continue
+                fac = Expr(chart, f.field.new(fac))
+                if not any(fac == s or -fac == s for s in seen):
+                    seen.append(fac)
     return tuple(sorted(seen, key=lambda fac: sp.default_sort_key(fac.sym)))
 
 
@@ -682,7 +699,6 @@ def _render_field(chart: Chart, f: FracElement) -> str:
 
 def render_expr(e: Expr) -> str:
     """Canonical text of e in the parser's grammar."""
-    f = e._field_value()
-    if f is None:
+    if _atoms(e._frac.field):
         return _render_sym(e.chart, e.sym)
-    return _render_field(e.chart, f)
+    return _render_field(e.chart, e._frac)

@@ -1,10 +1,12 @@
 """CLI: golden report values, byte-determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
+import sympy
 
-from sublorentz import cli, invariants, lie_algebra
+from sublorentz import cli, expr, invariants, lie_algebra
 from sublorentz import report as report_module
 from sublorentz.cli import main
 
@@ -253,11 +255,15 @@ class TestUnexpectedFailure:
         assert (code, out) == (3, "")
         assert err == "error: unexpected RuntimeError: first line second line\n"
 
-    def test_value_the_kernel_cannot_render(self, capsys):
-        # sympy turns exp(log(u)/2) into sqrt(u), which no polynomial holds
-        code, out, err = run_cli(capsys, "ode", "--Q", "exp(log(u)/2)")
+    def test_value_the_kernel_cannot_render(self, capsys, monkeypatch):
+        def fail(chart, tree):
+            raise sympy.PolynomialError(f"{tree} contains an element\nof the set of generators")
+
+        monkeypatch.setattr(expr, "_render_sym", fail)
+        code, out, err = run_cli(capsys, "ode", "--Q", "exp(u)")
         assert (code, out) == (3, "")
-        assert err.startswith("error: unexpected ") and err.count("\n") == 1
+        assert err == ("error: unexpected PolynomialError: exp(u) contains an element "
+                       "of the set of generators\n")
 
     def test_interrupt_passes_through(self, monkeypatch):
         def interrupt(defn):
@@ -306,6 +312,11 @@ class TestComplexLog:
         assert (code, out) == (3, "")
         assert err == "error: the log of a negative constant is not real\n"
 
+    def test_argument_negative_everywhere(self, capsys):
+        code, out, err = run_cli(capsys, "ode", "--Q", "log(-2*x^2-1)")
+        assert (code, out) == (3, "")
+        assert err == "error: the log of a value that is positive nowhere is not real\n"
+
     def test_symmetry_field(self, capsys, tmp_path):
         path = tmp_path / "complex.toml"
         path.write_text("[frame]\nX1 = d/dx\nX2 = d/dy + x*d/dz\n\n"
@@ -313,6 +324,16 @@ class TestComplexLog:
         code, out, err = run_cli(capsys, "symmetry", str(path))
         assert (code, out) == (3, "")
         assert err == "error: the log of a negative constant is not real\n"
+
+
+class TestNonRationalValue:
+    """A value that is no rational function of its atoms is an input error."""
+
+    def test_root(self, capsys):
+        # sympy turns exp(log(u)/2) into sqrt(u)
+        code, out, err = run_cli(capsys, "ode", "--Q", "exp(log(u)/2)")
+        assert (code, out) == (3, "")
+        assert err == "error: sqrt(u) is not a rational function of the names and exp/sinh/cosh/log atoms\n"
 
 
 class TestFrameInversion:
@@ -365,3 +386,65 @@ class TestOneComputePerContext:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(calls) == computes
+
+
+class TestAtomOutputs:
+    """Stdout of CLI runs whose values hold exp/sinh/cosh/log atoms, pinned by
+    SHA-256 and exit code, so that their bytes stay as they are."""
+
+    FRAMES = {
+        "exp_x.txt": "X1 = exp(x)*d/dx + d/dz\nX2 = d/dy + x*d/dz\n",
+        "exp_cosh.txt": "X1 = d/dx\nX2 = d/dy + x*exp(y)*cosh(y)*d/dz\n",
+        "cosh.txt": "X1 = d/dx\nX2 = d/dy + x*cosh(y)*d/dz\n",
+        "over_cosh.txt": "X1 = d/dx\nX2 = d/dy + x/cosh(y)*d/dz\n",
+    }
+
+    @pytest.fixture
+    def frames(self, tmp_path, monkeypatch):
+        for name, frame in self.FRAMES.items():
+            (tmp_path / name).write_text(f"[chart]\ncoords = x, y, z\n\n[frame]\n{frame}")
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["rotate", "martinet", "--theta", "x*y", "--format", "json"],
+         "4b3586377e7861547668f5eb20ccc5bea46364b933173aad972fd1078753fe23"),
+        (["rotate", "martinet", "--theta", "cosh(x)", "--format", "json"],
+         "d03704ed0d03ea78e46d95ebacef3e6662ee654d8cf9af365a92bd66e406b7dc"),
+        (["rotate", "martinet", "--theta", "exp(z)"],
+         "721aa2593d43d0848952cff80ff66991c1d1ea58d23d1e9ee23555693faa4627"),
+        (["rotate", "martinet", "--theta", "sinh(y)", "--format", "json"],
+         "0d2c0ea840fb3a8b70a2c32c1e93276cc1224ddf9f98c612f717e29fd75c4b6f"),
+        (["rotate", "heisenberg", "--theta", "x*y"],
+         "ee6525e88f45ffcc630ecb76fc9c811c8f88deeb59d77e25dbf60b7c302f1b76"),
+        (["rotate", "heisenberg", "--theta", "cosh(x)", "--format", "json"],
+         "e3cc8868ed3a18191cf57ca8e1411d07a36f6554ce0e46d3e14af62eb2326080"),
+        (["rotate", "heisenberg", "--theta", "exp(z)", "--format", "json"],
+         "24e22b5d9f059b64c329d54f187dec34bc04440f5c4669efee38aa51c3d48e73"),
+        (["ode", "--Q", "exp(u)", "--format", "json"],
+         "e5237adbbb77bc920f6c6ad9f19800a69779c94c37793cc4ad3d71935fa670d9"),
+        (["ode", "--Q", "cosh(u)*p"],
+         "c3357d076143f94677c31a7231f131ee6ca1a74efd17824f06e29db7356b5708"),
+        (["ode", "--Q", "(1+2*x)*exp(u) + (x+x^2)*exp(u)*p", "--format", "json"],
+         "6c909b5889bf3574e3758a44dae733da8612f25b09080baab631a35776da77ab"),
+        (["analyze", "exp_x.txt", "--format", "json"],
+         "2f243e056ceea913a0ac94e6d373088032f1b7370a93b06879f7848b775bd84f"),
+        # cosh(y)*exp(y) is the contact determinant, and a cosh that divides a
+        # denominator leaves it: omega's last entry reads
+        # -cosh(y)/(exp(y)*sinh(y)^2 + exp(y)), and sinh(y)^2 + 1 is no locus
+        (["analyze", "exp_cosh.txt", "--format", "json"],
+         "0f6e85fb4bb6c62bdef499d89baa562509f8c68465619d709d982012997c9364"),
+    ])
+    def test_stdout_pinned(self, capsys, frames, argv, sha256):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha256)
+
+    def test_cosh_leaves_the_denominator(self, capsys, frames):
+        code, report, _ = run_json(capsys, "analyze", "cosh.txt")
+        assert code == 0
+        assert report["apparatus"]["omega"][2] == "-cosh(y)/(sinh(y)^2 + 1)"
+
+    def test_no_locus_that_vanishes_nowhere(self, capsys, frames):
+        # x/cosh(y) is x*cosh(y)/(sinh(y)^2 + 1), and 1 + sinh(y)^2 is no locus
+        code, report, _ = run_json(capsys, "analyze", "over_cosh.txt")
+        assert code == 0
+        assert report["apparatus"]["excluded_loci"] == ["cosh(y)"]
