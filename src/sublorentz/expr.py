@@ -13,6 +13,14 @@ that divides the denominator out of it; any other cosh stays below
 (`_fold_cosh`).  The fraction is gcd-reduced with a positive leading
 coefficient below, in the field of exactly its atoms.
 
+A value prints from its field's terms (`render_expr`): the numerator over the
+denominator, each a sum of terms with the chart's names in chart order and
+then the atoms that polynomial holds, sorted by their text.  An atom's
+argument prints as a value of its own.  The exps of one term that a
+polynomial holds at the powers k of its generator exp(t/n) print as
+exp(g*t/n)^(k/g), g the gcd of the k: exp(4*x) + y*exp(2*x) is
+y*exp(2*x) + exp(2*x)^2, and exp(2) + exp(1) is exp(1)^2 + exp(1).
+
 No floating point is admitted anywhere; coefficients are exact rationals.
 No other module sees the representation, so rendering lives here too.
 """
@@ -123,10 +131,15 @@ def _to_rational(value: NumberLike) -> sp.Rational:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
+def _is_exp(g) -> bool:
+    """True for an exp; sympy writes exp(1) as the number E."""
+    return g is sp.E or isinstance(g, sp.exp)
+
+
 def _exp_key(g):
     """(key, c): for g = exp(c*t) with a rational c, key is ("exp", t); for
-    any other generator, g and 1.  sympy writes exp(1) as the number E."""
-    if not (g is sp.E or isinstance(g, sp.exp)):
+    any other generator, g and 1."""
+    if not _is_exp(g):
         return g, Fraction(1)
     c, t = (g.args[0] if g is not sp.E else sp.S.One).as_coeff_Mul(rational=True)
     return ("exp", t), Fraction(int(c.p), int(c.q))
@@ -247,7 +260,7 @@ def _own_field(chart: Chart, f: FracElement) -> FracField:
             if monom[i]:
                 used[a] = math.gcd(used.get(a, 0), monom[i])
     return _field(chart, frozenset(
-        a ** k if a is sp.E or isinstance(a, sp.exp) else a for a, k in used.items()))
+        a ** k if _is_exp(a) else a for a, k in used.items()))
 
 
 def _read(chart: Chart, tree: sp.Expr) -> "Expr":
@@ -273,6 +286,10 @@ def _read(chart: Chart, tree: sp.Expr) -> "Expr":
     if tree.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise DivisionByZero(_SINGULAR)
     if tree.has(*_ATOM_FUNCS, sp.E):
+        # sympy's Add imports sympy.tensor on its first call (about 35 ms of
+        # CPU), and values with atoms build sums: pay that with the first
+        # atom, so no later value's computation carries it.
+        import sympy.tensor.tensor  # noqa: F401
         tree = sp.factor_terms(sp.signsimp(tree), radical=True).expand()
     return read(tree)
 
@@ -424,9 +441,6 @@ class Expr:
             raise TypeError("expression is not a rational constant")
         return Fraction(int(self._frac.numer.LC), int(self._frac.denom.LC))
 
-    def free_names(self) -> set[str]:
-        return {s.name for s in self.sym.free_symbols}
-
     def denominator(self) -> "Expr":
         """The denominator of the canonical fraction."""
         f = self._frac
@@ -514,11 +528,14 @@ def log(e: Expr) -> Expr:
 
 
 def _nowhere_positive(f: FracElement) -> bool:
-    """True when f is free of atoms, its numerator and denominator each have
-    only even exponents and coefficients of one sign, and the signs differ."""
+    """True when f's numerator and denominator each have coefficients of one
+    sign and only even exponents on the generators that take negative values
+    (names, sinh, log; exp and cosh are positive), and the signs differ."""
+    signed = [i for i, g in enumerate(f.field.symbols)
+              if not (_is_exp(g) or isinstance(g, sp.cosh))]
     signs = [{c > 0 for c in p.itercoeffs()} for p in (f.numer, f.denom)
-             if not any(k % 2 for m in p.itermonoms() for k in m)]
-    return not _atoms(f.field) and signs in ([{True}, {False}], [{False}, {True}])
+             if not any(m[i] % 2 for m in p.itermonoms() for i in signed)]
+    return signs in ([{True}, {False}], [{False}, {True}])
 
 
 def all_zero(exprs: Iterable[Expr]) -> Tri:
@@ -572,35 +589,6 @@ def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
 # -- rendering ---------------------------------------------------------------
 
 
-def _gen_order(chart: Chart, gens) -> list[sp.Expr]:
-    def key(g):
-        if g.is_Symbol:
-            name = g.name
-            if name in chart.coords:
-                return (0, chart.coords.index(name), "")
-            if name in chart.params:
-                return (1, chart.params.index(name), "")
-            return (2, 0, name)
-        return (3, 0, _render_gen(chart, g))
-
-    return sorted(gens, key=key)
-
-
-def _atomic_gens(chart: Chart, e: sp.Expr) -> list[sp.Expr]:
-    """Symbols and atoms of e; sympy writes exp(1) as the number E."""
-    gens = set(e.free_symbols) | e.atoms(*_ATOM_FUNCS, type(sp.E))
-    return _gen_order(chart, gens)
-
-
-def _render_gen(chart: Chart, g: sp.Expr) -> str:
-    if g.is_Symbol:
-        return g.name
-    if g is sp.E:
-        return "exp(1)"
-    fname = {sp.exp: "exp", sp.sinh: "sinh", sp.cosh: "cosh", sp.log: "log"}[g.func]
-    return f"{fname}({_render_sym(chart, g.args[0])})"
-
-
 def _render_terms(names, terms) -> str:
     """A polynomial from (monomial, coefficient) pairs over the generators
     `names`, highest monomial first in lex order of `names`."""
@@ -611,20 +599,6 @@ def _render_terms(names, terms) -> str:
         _render_term(names, monom, Fraction(int(c.numerator), int(c.denominator)))
         for monom, c in terms
     )
-
-
-def _render_polynomial(chart: Chart, e: sp.Expr) -> str:
-    if e.is_Rational:
-        return _render_rational(e)
-    gens = _atomic_gens(chart, e)
-    try:
-        poly = sp.Poly(e, *gens)
-    except sp.PolynomialError:
-        # Poly reads exp(2*x) as exp(x)^2 and then finds x inside a generator;
-        # stand-ins keep every atom opaque.
-        dummies = [sp.Dummy() for _ in gens]
-        poly = sp.Poly(e.xreplace(dict(zip(gens, dummies))), *dummies)
-    return _render_terms([_render_gen(chart, g) for g in gens], poly.terms())
 
 
 def join_terms(terms: Iterable[str]) -> str:
@@ -672,33 +646,33 @@ def _render_fraction(num_str: str, den_str: str) -> str:
     return f"{num_str}/{den_str}"
 
 
-def _render_sym(chart: Chart, e: sp.Expr) -> str:
-    num, den = e.as_numer_denom()
-    num_str = _render_polynomial(chart, num)
-    if den == 1:
-        return num_str
-    return _render_fraction(num_str, _render_polynomial(chart, den))
+def _render_atom(chart: Chart, atom: sp.Expr) -> str:
+    fname = "exp" if atom is sp.E else atom.func.__name__
+    return f"{fname}({render_expr(_argument(chart, atom))})"
 
 
-def _render_field(chart: Chart, f: FracElement) -> str:
-    """Terms read off the numerator and denominator, permuted to chart order."""
+def render_expr(e: Expr) -> str:
+    """Canonical text of e in the parser's grammar, read off its field's
+    terms as the module docstring describes."""
+    chart, f = e.chart, e._frac
     symbols = f.field.symbols
-    order = [symbols.index(sp.Symbol(n)) for n in chart.names]
+    names = [(symbols.index(sp.Symbol(n)), n, 1) for n in chart.names]
 
     def render(poly):
+        monoms = list(poly.itermonoms())
+        atoms = []
+        for atom, i in _atoms(f.field).items():
+            powers = [m[i] for m in monoms if m[i]]
+            if powers:
+                g = math.gcd(*powers) if _is_exp(atom) else 1
+                atoms.append((i, _render_atom(chart, atom ** g), g))
+        columns = names + sorted(atoms, key=lambda column: column[1])
         return _render_terms(
-            chart.names,
-            ((tuple(monom[i] for i in order), c) for monom, c in poly.iterterms()),
+            [name for _, name, _ in columns],
+            ((tuple(monom[i] // g for i, _, g in columns), c) for monom, c in poly.iterterms()),
         )
 
     num_str = render(f.numer)
     if f.denom == 1:
         return num_str
     return _render_fraction(num_str, render(f.denom))
-
-
-def render_expr(e: Expr) -> str:
-    """Canonical text of e in the parser's grammar."""
-    if _atoms(e._frac.field):
-        return _render_sym(e.chart, e.sym)
-    return _render_field(e.chart, e._frac)

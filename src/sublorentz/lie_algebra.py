@@ -288,14 +288,14 @@ def dualize_structure_equations(
     n = len(labels)
     if len(equations) != n:
         raise ValueError("need exactly one structure equation per coframe element")
+    if chart.coords:
+        raise ValueError("dualization requires constant coefficients: a chart without coordinates")
     coeff: dict[tuple[int, int], dict[int, Expr]] = {}
     for k, eq in enumerate(equations):
         for (i, j), a in eq.items():
             if i == j:
                 raise ValueError("w^i ^ w^i vanishes; bad structure equation")
             a = a if isinstance(a, Expr) else chart.number(a)
-            if a.free_names() & set(chart.coords):
-                raise ValueError("dualization requires constant coefficients")
             if i > j:
                 i, j, a = j, i, -a
             slot = coeff.setdefault((i, j), {})

@@ -1,14 +1,21 @@
 """CLI: golden report values, byte-determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from sublorentz import cli, expr, invariants, lie_algebra
 from sublorentz import report as report_module
 from sublorentz.cli import main
+from sublorentz.errors import EngineError
+from sublorentz.parsing import parse_structure_file
 
 
 def run_cli(capsys, *argv):
@@ -256,10 +263,10 @@ class TestUnexpectedFailure:
         assert err == "error: unexpected RuntimeError: first line second line\n"
 
     def test_value_the_kernel_cannot_render(self, capsys, monkeypatch):
-        def fail(chart, tree):
-            raise sympy.PolynomialError(f"{tree} contains an element\nof the set of generators")
+        def fail(chart, atom):
+            raise sympy.PolynomialError(f"{atom} contains an element\nof the set of generators")
 
-        monkeypatch.setattr(expr, "_render_sym", fail)
+        monkeypatch.setattr(expr, "_render_atom", fail)
         code, out, err = run_cli(capsys, "ode", "--Q", "exp(u)")
         assert (code, out) == (3, "")
         assert err == ("error: unexpected PolynomialError: exp(u) contains an element "
@@ -448,3 +455,56 @@ class TestAtomOutputs:
         code, report, _ = run_json(capsys, "analyze", "over_cosh.txt")
         assert code == 0
         assert report["apparatus"]["excluded_loci"] == ["cosh(y)"]
+
+
+def structure_texts():
+    """Structure files with a [frame] or an [algebra] section and up to two
+    other sections, with small values: mostly well formed, some with junk."""
+
+    def values(names):
+        scalar = st.sampled_from(names + ["0", "2", "1/2"])
+        for _ in range(2):
+            sub = scalar
+            scalar = st.one_of(
+                sub,
+                st.tuples(sub, st.sampled_from("+-*/"), sub).map(" ".join).map("({})".format),
+                st.tuples(st.sampled_from(["exp", "sinh", "cosh", "log"]), sub).map(
+                    "{0[0]}({0[1]})".format),
+            )
+        return scalar | st.text("xyz0123+-*/^()=[]", min_size=1, max_size=6)
+
+    field_value, constant = values(["x", "y", "z", "k"]), values(["k"])
+    bodies = {
+        "chart": st.sampled_from(["coords = x, y, z", "coords = x, y", "coords = a, b, c"]),
+        "params": st.sampled_from(["names = k", "names = k, x", "names ="]),
+        "frame": st.tuples(field_value, field_value).map(
+            "X1 = d/dx + ({0[0]})*d/dz\nX2 = d/dy + ({0[1]})*d/dz".format),
+        "algebra": st.lists(st.tuples(st.sampled_from(["c012", "c021", "c011", "c122", "c3"]),
+                                      constant).map(" = ".join), max_size=3).map("\n".join),
+        "symmetry": st.tuples(field_value, st.sampled_from(["d/dx", "d/dz", "d/dq"])).map(
+            "Z = ({0[0]})*{0[1]}".format),
+    }
+    sections = st.tuples(st.sampled_from(["frame", "algebra"]),
+                         st.lists(st.sampled_from(["chart", "params", "symmetry"]), max_size=2,
+                                  unique=True)).map(lambda t: [t[0], *t[1]])
+    return sections.flatmap(
+        lambda ns: st.tuples(*(bodies[n].map(f"[{n}]\n{{}}".format) for n in ns))).map("\n".join)
+
+
+@given(structure_texts(), st.sampled_from(["analyze", "classify", "symmetry"]))
+def test_structure_text_ends_in_an_exit_code(text, command):
+    """Any structure file is parsed or refused with an EngineError, and the
+    CLI on it ends in exit 0-3 with at most one stderr line."""
+    try:
+        parse_structure_file(text)
+    except EngineError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "structure.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, path])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1

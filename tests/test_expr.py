@@ -204,10 +204,23 @@ class TestNonRealLog:
     def test_positive_constant_accepted(self):
         assert render_expr(parse_expr("log(1/2)", Chart())) == "-log(2)"
 
+    @pytest.mark.parametrize("text", ["log(-exp(x))", "log(-cosh(u)*x^2-1)"])
+    def test_atom_argument_positive_nowhere(self, text):
+        # exp and cosh are positive at any power
+        with pytest.raises(NonRealValue):
+            parse_expr(text, CH)
+
+    @pytest.mark.parametrize("text", ["log(exp(x))", "log(-sinh(x))", "log(-x*exp(x))",
+                                      "log(-log(x^2+1))", "log(cosh(u)*x^2+1)"])
+    def test_atom_argument_positive_somewhere(self, text):
+        # sinh, log and the names take both signs at odd powers
+        assert isinstance(render_expr(parse_expr(text, CH)), str)
+
 
 class TestExpOfConstant:
     """sympy writes exp(1) as the number E and exp(x + 1) as E*exp(x); the
-    renderer names E exp(1) and keeps every atom opaque."""
+    renderer names E exp(1).  The exps of one term that a polynomial holds at
+    the powers k print as exp(g*t)^(k/g), g the gcd of the k."""
 
     @pytest.mark.parametrize("text, rendered", [
         ("exp(1)", "exp(1)"),
@@ -215,6 +228,11 @@ class TestExpOfConstant:
         ("x*exp(-1)", "x/(exp(1))"),
         ("exp(2*x)", "exp(2*x)"),
         ("exp(2*x) + exp(x)", "exp(x)^2 + exp(x)"),
+        ("exp(4*x) + y*exp(2*x)", "y*exp(2*x) + exp(2*x)^2"),
+        ("exp(2*z) + exp(3*z)", "exp(z)^3 + exp(z)^2"),
+        ("cosh(exp(z)) + exp(2*z)", "cosh(exp(z)) + exp(2*z)"),
+        ("exp(3*x/2) + exp(x/2)", "exp(x/2)^3 + exp(x/2)"),
+        ("exp(2) + exp(1)", "exp(1)^2 + exp(1)"),
     ])
     def test_round_trip(self, text, rendered):
         e = parse_expr(text, Chart())
@@ -385,22 +403,80 @@ def reference_form(e):
     return e
 
 
+def _tree_gen_text(chart, g):
+    if g.is_Symbol:
+        return g.name
+    if g is sp.E:
+        return "exp(1)"
+    fname = {sp.exp: "exp", sp.sinh: "sinh", sp.cosh: "cosh", sp.log: "log"}[g.func]
+    return f"{fname}({tree_text(chart, g.args[0])})"
+
+
+def _tree_polynomial_text(chart, e):
+    if e.is_Rational:
+        return ex._render_rational(e)
+    gens = set(e.free_symbols) | e.atoms(sp.exp, sp.sinh, sp.cosh, sp.log, type(sp.E))
+
+    def key(g):
+        if g.is_Symbol:
+            return (0, chart.names.index(g.name), "")
+        return (1, 0, _tree_gen_text(chart, g))
+
+    gens = sorted(gens, key=key)
+    try:
+        poly = sp.Poly(e, *gens)
+    except sp.PolynomialError:
+        # Poly reads exp(2*x) as exp(x)^2 and then finds x inside a generator;
+        # stand-ins keep every atom opaque.
+        dummies = [sp.Dummy() for _ in gens]
+        poly = sp.Poly(e.xreplace(dict(zip(gens, dummies))), *dummies)
+    return ex._render_terms([_tree_gen_text(chart, g) for g in gens], poly.terms())
+
+
+def tree_text(chart, e):
+    """The text of a sympy tree as the kernel once printed every value with an
+    atom: sympy's numerator and denominator, each read back by `sp.Poly` over
+    its names and atoms, which folds exp(k*t) into exp(t)^k where exp(t) is
+    also a generator."""
+    num, den = e.as_numer_denom()
+    num_str = _tree_polynomial_text(chart, num)
+    if den == 1:
+        return num_str
+    return ex._render_fraction(num_str, _tree_polynomial_text(chart, den))
+
+
 def _cosh_below(tree):
     """True when a cosh stands in a denominator, in an atom's argument too."""
     return any(node.is_Pow and node.exp.is_negative and node.base.has(sp.cosh)
                for node in sp.preorder_traversal(tree))
 
 
-def _exps_at_non_integer_ratios(tree):
-    """True when two exps of one term have exponents at a non-integer ratio,
-    such as exp(x/2) and exp(x/3): the kernel gives them one generator, and
-    sympy.cancel two."""
+def _unreduced_argument(tree):
+    """True when an atom's argument is not as the kernel prints it, a reduced
+    value of its own: sympy.cancel would reduce it, or it is an exp's argument
+    whose sign as a number is not its written sign (sympy's as_numer_denom
+    then writes exp(-a) where the kernel has 1/exp(a), or the reverse)."""
+    for atom in tree.atoms(sp.exp, sp.sinh, sp.cosh, sp.log):
+        u = atom.args[0]
+        if u != sp.cancel(u):
+            return True
+        if isinstance(atom, sp.exp):
+            written_negative = u.as_coeff_Mul()[0] < 0
+            if (u.is_negative and not written_negative) or (u.is_positive and written_negative):
+                return True
+    return False
+
+
+def _exps_of_one_term_at_two_coefficients(tree):
+    """True when two exps of one term have different coefficients, such as
+    exp(x/2) and exp(x/3), exp(2*x) and exp(3*x), or exp(2) and exp(1): the
+    kernel prints them as powers of one exp, and `tree_text` by sympy's case
+    split."""
     coeffs = {}
-    for atom in tree.atoms(sp.exp):
-        c, t = atom.args[0].as_coeff_Mul(rational=True)
+    for atom in tree.atoms(sp.exp, type(sp.E)):
+        c, t = (atom.args[0] if atom is not sp.E else sp.S.One).as_coeff_Mul(rational=True)
         coeffs.setdefault(t, set()).add(c)
-    return any(not (a / b).is_Integer and not (b / a).is_Integer
-               for cs in coeffs.values() for a in cs for b in cs)
+    return any(len(cs) > 1 for cs in coeffs.values())
 
 
 @pytest.mark.parametrize("chart, atoms", [(CH, False), (ODE, False), (PARAMS, False), (CH, True),
@@ -429,8 +505,9 @@ def test_field_values_match_sympy_cancel(chart, atoms):
             assert e.sym == sp.cancel(tree)
         else:
             reference = reference_form(tree)
-            if not _cosh_below(reference) and not _exps_at_non_integer_ratios(tree):
-                assert render_expr(e) == ex._render_sym(chart, reference)
+            if not (_cosh_below(reference) or _unreduced_argument(reference)
+                    or _exps_of_one_term_at_two_coefficients(reference)):
+                assert render_expr(e) == tree_text(chart, reference)
         detour = e + (ex.cosh(x) ** 2 - ex.sinh(x) ** 2 - 1)
         for other in (Expr(chart, e.sym), Expr(chart, tree), detour):
             assert other == e and hash(other) == hash(e)
@@ -530,12 +607,13 @@ def grammar_texts(depth=4):
 @given(grammar_texts())
 @example("log(-1)")
 def test_parsed_text_renders_or_is_refused(text):
-    """Every text of the grammar renders, or is refused with an EngineError."""
+    """Every text of the grammar renders, or is refused with an EngineError,
+    and the rendered text parses back to an equal value."""
     try:
-        rendered = render_expr(parse_expr(text, Chart()))
+        e = parse_expr(text, Chart())
     except EngineError:
         return
-    assert isinstance(rendered, str)
+    assert parse_expr(render_expr(e), Chart()) == e
 
 
 SRC = Path(sublorentz.__file__).parent

@@ -207,6 +207,13 @@ class TestDualization:
         assert [str(e.sym) for e in b21] == ["1", "0", "0"]
         assert jacobi_check(L) is Tri.TRUE
 
+    def test_chart_with_coordinates_refused(self):
+        """Structure constants are constants: a chart with coordinates is
+        refused even when every coefficient is a number."""
+        chart = Chart(("x",), ())
+        with pytest.raises(ValueError, match="constant coefficients"):
+            dualize_structure_equations(chart, ("X0", "X1", "X2"), [{(1, 2): chart.one()}, {}, {}])
+
     def test_isometry_equations_kappa_zero(self):
         """Dual algebra of the isometry coframe at kappa = 0: the engine's
         convention yields [e1,e2] = e3, [e1,e4] = e2, [e2,e4] = e1, which is
