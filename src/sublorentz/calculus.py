@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateFrame, IndeterminateDomain
-from .expr import Chart, Expr, Tri, all_zero
+from .expr import Chart, Expr, Tri, all_zero, dot
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ class VectorField:
 
     def __call__(self, f: Expr) -> Expr:
         """The directional derivative X(f)."""
-        out = self.chart.zero()
-        for comp, coord in zip(self.components, self.chart.coords):
-            out = out + comp * f.diff(coord)
-        return out
+        return dot((comp, f.diff(coord)) for comp, coord in zip(self.components, self.chart.coords))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -125,16 +122,12 @@ def evaluate(form: DifferentialForm, fields: Sequence[VectorField]) -> Expr:
     """Multilinear antisymmetric evaluation (no 1/2 factor on 2-forms)."""
     if len(fields) != form.degree:
         raise ValueError(f"a degree-{form.degree} form takes exactly {form.degree} fields")
-    out = form.chart.zero()
     if form.degree == 1:
         (X,) = fields
-        for a, x in zip(form.components, X.components):
-            out = out + a * x
-        return out
+        return dot(zip(form.components, X.components))
     X, Y = fields
-    for (i, j), b in zip(_PAIRS, form.components):
-        out = out + b * (X.components[i] * Y.components[j] - X.components[j] * Y.components[i])
-    return out
+    return dot((b, X.components[i] * Y.components[j] - X.components[j] * Y.components[i])
+               for (i, j), b in zip(_PAIRS, form.components))
 
 
 # -- small exact linear algebra ----------------------------------------------

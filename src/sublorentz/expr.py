@@ -13,6 +13,20 @@ that divides the denominator out of it; any other cosh stays below
 (`_fold_cosh`).  The fraction is gcd-reduced with a positive leading
 coefficient below, in the field of exactly its atoms.
 
+The arithmetic keeps every operand reduced and reduces each result once,
+with no gcd against a full product (Henrici; Knuth, TAOCP 2, 4.5.1).  For
+n1/d1 and n2/d2: the product is (n1/g1 * n2/g2)/(d1/g2 * d2/g1) with
+g1 = gcd(n1, d2) and g2 = gcd(n2, d1); a quotient is a product by d2/n2; a
+sum over d = gcd(d1, d2) has numerator t = n1*(d2/d) + n2*(d1/d), and only
+e = gcd(t, d) can cancel, leaving (t/e)/((d1/d)*(d2/e)).  With d = g*q and
+d' = g*r, g = gcd(d, d'), the derivative is (n'*q - n*r)/(g*q^2), and only g
+can share a factor with its numerator.  A gcd with 1 is skipped.  `dot`
+sums products unreduced, over one denominator per distinct denominator, and
+cancels the total once.  Where a cosh is folded shows in the result, since
+the fold rewrites cosh(u)^2 before the gcd sees it, so in a field with a
+cosh `dot` adds the folded products one at a time, as a running sum of
+`Expr` products does.
+
 A value prints from its field's terms (`render_expr`): the numerator over the
 denominator, each a sum of terms with the chart's names in chart order and
 then the atoms that polynomial holds, sorted by their text.  An atom's
@@ -110,12 +124,14 @@ class Chart:
 
     def number(self, value: NumberLike) -> "Expr":
         q = _to_rational(value)
-        return Expr(self, _field(self, frozenset())(int(q.p)) / int(q.q))
+        field = _field(self, frozenset())
+        return Expr(self, field.raw_new(field.ring(int(q.p)), field.ring(int(q.q))))
 
     def var(self, name: str) -> "Expr":
         if not self.has(name):
             raise UnknownSymbol(f"undeclared name {name!r}")
-        return Expr(self, _gen(_field(self, frozenset()), name))
+        field = _field(self, frozenset())
+        return Expr(self, field.gens[_index(field, name)])
 
 
 # -- the fields ------------------------------------------------------------------
@@ -173,8 +189,8 @@ def _union(chart: Chart, *fields: FracField) -> FracField:
 
 
 @functools.cache
-def _gen(field: FracField, name: str) -> FracElement:
-    return field.gens[field.symbols.index(sp.Symbol(name))]
+def _index(field: FracField, name: str) -> int:
+    return field.symbols.index(sp.Symbol(name))
 
 
 @functools.cache
@@ -249,6 +265,83 @@ def _convert(f: FracElement, dst: FracField) -> FracElement:
     if denom.LC < 0:
         numer, denom = -numer, -denom
     return dst.raw_new(numer, denom)
+
+
+# -- arithmetic on reduced fractions -------------------------------------------
+
+
+def _signed(field: FracField, numer, denom) -> FracElement:
+    """numer/denom, coprime, with the sign of the denominator's leading
+    coefficient moved to the numerator."""
+    if denom.LC < 0:
+        numer, denom = -numer, -denom
+    return field.raw_new(numer, denom)
+
+
+def _reduce(field: FracField, numer, denom) -> FracElement:
+    """numer/denom in lowest terms; a denominator 1 needs no gcd."""
+    if not numer:
+        return field.zero
+    if denom != 1:
+        _, numer, denom = numer.cofactors(denom)
+    return _signed(field, numer, denom)
+
+
+def _mul(f: FracElement, g: FracElement) -> FracElement:
+    """f*g, each numerator cancelled against the other's denominator."""
+    if not f or not g:
+        return f.field.zero
+    n1, d1, n2, d2 = f.numer, f.denom, g.numer, g.denom
+    if d2 != 1:
+        _, n1, d2 = n1.cofactors(d2)
+    if d1 != 1:
+        _, n2, d1 = n2.cofactors(d1)
+    return _signed(f.field, n1 * n2, d1 * d2)
+
+
+def _add(f: FracElement, g: FracElement) -> FracElement:
+    """f+g over the lcm of the denominators; only their gcd can share a
+    factor with the sum's numerator."""
+    if not f:
+        return g
+    if not g:
+        return f
+    n1, d1, n2, d2 = f.numer, f.denom, g.numer, g.denom
+    if d1 == d2:
+        return _reduce(f.field, n1 + n2, d1)
+    # the sum is 0 only when g = -f, whose denominator is f's
+    d, p1, p2 = d1.cofactors(d2)
+    t = n1 * p2 + n2 * p1
+    if d == 1:
+        return _signed(f.field, t, d1 * p2)
+    _, t, d = t.cofactors(d)
+    return _signed(f.field, t, d * p1 * p2)
+
+
+def _sub(f: FracElement, g: FracElement) -> FracElement:
+    return _add(f, -g)
+
+
+def _div(f: FracElement, g: FracElement) -> FracElement:
+    """f/g for a nonzero g: f times g's reduced reciprocal."""
+    return _mul(f, g.raw_new(g.denom, g.numer))
+
+
+def _diff(f: FracElement, i: int) -> FracElement:
+    """The partial derivative of f in the i-th generator.  With g the gcd of
+    the denominator and its derivative, d = g*q and d' = g*r, it is
+    (n'*q - n*r)/(g*q^2), and only g can share a factor with the numerator."""
+    x = f.field.ring.gens[i]
+    n, d = f.numer, f.denom
+    if d == 1:
+        return f.field.raw_new(n.diff(x))
+    g, q, r = d.cofactors(d.diff(x))
+    numer = n.diff(x) * q - n * r
+    if not numer:
+        return f.field.zero
+    if g != 1:
+        _, numer, g = numer.cofactors(g)
+    return _signed(f.field, numer, g * q ** 2)
 
 
 def _own_field(chart: Chart, f: FracElement) -> FracField:
@@ -363,18 +456,18 @@ class Expr:
         return Expr(self.chart, op(a, b))
 
     def __add__(self, other):
-        return self._combine(self._coerce(other), operator.add)
+        return self._combine(self._coerce(other), _add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(self._coerce(other), operator.sub)
+        return self._combine(self._coerce(other), _sub)
 
     def __rsub__(self, other):
-        return self._coerce(other)._combine(self, operator.sub)
+        return self._coerce(other)._combine(self, _sub)
 
     def __mul__(self, other):
-        return self._combine(self._coerce(other), operator.mul)
+        return self._combine(self._coerce(other), _mul)
 
     __rmul__ = __mul__
 
@@ -382,7 +475,7 @@ class Expr:
         o = self._coerce(other)
         if not o._frac:
             raise DivisionByZero(_ZERO_DIVISOR)
-        return self._combine(o, operator.truediv)
+        return self._combine(o, _div)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -397,8 +490,7 @@ class Expr:
             return Expr(self.chart, f ** exponent)
         if not f:
             raise DivisionByZero("negative power of zero")
-        # 1/f, not f**-n: the field does not fix the sign of f**-n's denominator
-        return Expr(self.chart, 1 / f ** -exponent)
+        return Expr(self.chart, _signed(f.field, f.denom ** -exponent, f.numer ** -exponent))
 
     def __neg__(self):
         return Expr(self.chart, -self._frac)
@@ -462,11 +554,11 @@ class Expr:
         if coord not in self.chart.coords:
             raise UnknownSymbol(f"not a chart coordinate: {coord!r}")
         f = self._frac
-        out = Expr(self.chart, f.diff(_gen(f.field, coord)))
+        out = Expr(self.chart, _diff(f, _index(f.field, coord)))
         for atom, i in _atoms(f.field).items():
             d_atom = _derivative(self.chart, atom, coord)
             if d_atom._frac:
-                out = out + Expr(self.chart, f.diff(f.field.gens[i])) * d_atom
+                out = out + Expr(self.chart, _diff(f, i)) * d_atom
         return out
 
     def subs(self, bindings: Mapping[str, "Expr"]) -> "Expr":
@@ -476,6 +568,37 @@ class Expr:
                 raise UnknownSymbol(f"binding targets undeclared name {name!r}")
             mapping[sp.Symbol(name)] = self._coerce(value).sym
         return Expr(self.chart, self.sym.xreplace(mapping))
+
+
+def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
+    """The sum of the products a*b over the (a, b) of `pairs`, reduced once:
+    the products are summed unreduced, over one denominator per distinct
+    denominator, and the total is cancelled once.  In a field with a cosh
+    the folded products are added one at a time, because where the fold
+    runs shows in the result."""
+    pairs = [(a, a._coerce(b)) for a, b in pairs]
+    chart = pairs[0][0].chart
+    field = _union(chart, *(e._frac.field for pair in pairs for e in pair))
+    if _coshes(field):
+        return sum((a * b for a, b in pairs), chart.zero())
+    groups = []  # [denominator, sum of the numerators over it]
+    for a, b in pairs:
+        f, g = _convert(a._frac, field), _convert(b._frac, field)
+        if not f or not g:
+            continue
+        numer, denom = f.numer * g.numer, f.denom * g.denom
+        for group in groups:
+            if group[0] == denom:
+                group[1] += numer
+                break
+        else:
+            groups.append([denom, numer])
+    if not groups:
+        return chart.zero()
+    (denom, numer), *rest = groups
+    for d, n in rest:
+        numer, denom = numer * d + n * denom, denom * d
+    return Expr(chart, _reduce(field, numer, denom))
 
 
 def _nonzero_monomial_certificate(chart: Chart, field: FracField, poly) -> bool:

@@ -21,7 +21,7 @@ from typing import Optional
 from .calculus import VectorField, evaluate, lie_bracket
 from .contact import ContactApparatus
 from .errors import DistributionNotPreserved
-from .expr import Chart, Expr, Tri, all_zero
+from .expr import Chart, Expr, Tri, all_zero, dot
 from .invariants import METRIC_DIAG, StructureFunctions
 
 Matrix2 = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -147,13 +147,11 @@ def binomial_identity_check(Z: VectorField, app: ContactApparatus, n: int) -> tu
         powers.append(row)
 
     def g(u: tuple[Expr, Expr], v: tuple[Expr, Expr]) -> Expr:
-        return chart.number(METRIC_DIAG[0]) * u[0] * v[0] + chart.number(METRIC_DIAG[1]) * u[1] * v[1]
+        return dot((chart.number(c) * a, b) for c, a, b in zip(METRIC_DIAG, u, v))
 
     def residual(i: int, j: int) -> Expr:
-        out = chart.zero()
-        for k in range(n + 1):
-            out = out + chart.number(comb(n, k)) * g(powers[i][k], powers[j][n - k])
-        return out
+        return dot((chart.number(comb(n, k)), g(powers[i][k], powers[j][n - k]))
+                   for k in range(n + 1))
 
     return (residual(0, 0), residual(0, 1), residual(1, 1))
 
@@ -200,11 +198,11 @@ def geodesic_hamiltonian(x1: VectorField, x2: VectorField) -> Expr:
 def poisson_bracket(F: Expr, G: Expr) -> Expr:
     """Canonical bracket of functions on a phase chart (whose first three
     coordinates are the base's), sign fixed so that {h_X, h_Y} = h_[X,Y]."""
-    out = F.chart.zero()
+    pairs = []
     for q in F.chart.coords[:3]:
         p = _momentum(q)
-        out = out + F.diff(p) * G.diff(q) - F.diff(q) * G.diff(p)
-    return out
+        pairs += [(F.diff(p), G.diff(q)), (-F.diff(q), G.diff(p))]
+    return dot(pairs)
 
 
 def momenta_to_frame(app: ContactApparatus, P: Expr) -> Expr:
