@@ -14,6 +14,7 @@ import sys
 from . import builtins as fixtures
 from .errors import EngineError, IndeterminateDomain
 from .expr import Chart, Expr
+from .lie_algebra import KAPPA_ALGEBRAS
 from .ode_bridge import ODE_CHART
 from .parsing import parse_expr, parse_structure_file
 from .report import (
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="catalog Lie algebra: Jacobi, Killing form, invariants")
     p.add_argument("name", choices=sorted(fixtures.ALGEBRA_NAMES))
-    p.add_argument("--kappa", default=None, help="rational value for the curvature parameter")
+    p.add_argument("--kappa", default=None, help="rational kappa of sl2_e and sl2_n")
     add_common(p)
 
     p = sub.add_parser("ode", help="sub-Lorentzian structure of u'' = Q(x, u, p)")
@@ -125,6 +126,9 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return _emit(catalog_report(), args.format)
         if args.command == "algebra":
+            if args.kappa is not None and args.name not in KAPPA_ALGEBRAS:
+                raise EngineError(f"algebra {args.name} has no kappa "
+                                  f"(--kappa: {', '.join(KAPPA_ALGEBRAS)})")
             kappa = _parse_kappa(args.kappa) if args.kappa is not None else None
             return _emit(algebra_report(args.name, kappa), args.format)
         if args.command == "ode":

@@ -49,10 +49,6 @@ class IndeterminateDomain(EngineError):
     """A zero test came back Unknown where a definite answer is required."""
 
 
-class NonHorizontalBracket(EngineError):
-    """A bracket [Xi, X0] has a Reeb component, contradicting ad_X0-invariance."""
-
-
 class TraceViolation(EngineError):
     """The trace identity c01^1 + c02^2 = 0 fails."""
 

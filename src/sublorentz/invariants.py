@@ -17,13 +17,7 @@ from typing import Optional
 from . import expr as ex
 from .calculus import VectorField, differential, evaluate, exterior_derivative, lie_bracket, wedge
 from .contact import ContactApparatus, Frame, build_apparatus
-from .errors import (
-    HTildeNonzero,
-    IndeterminateDomain,
-    NonHorizontalBracket,
-    ThetaInvalid,
-    TraceViolation,
-)
+from .errors import HTildeNonzero, IndeterminateDomain, ThetaInvalid, TraceViolation
 from .expr import Chart, Expr, Tri, all_zero
 
 #: metric of the orthonormal frame on the distribution: g = diag(-1, +1)
@@ -116,31 +110,16 @@ class ConstantContext:
 
 
 def structure_functions(app: ContactApparatus) -> StructureFunctions:
+    """[X1,X0] and [X2,X0] paired with nu1 and nu2; the coefficients of
+    [X2,X1] - X0 are the apparatus's a and b (see `contact`)."""
     x0, x1, x2 = app.marked_fields
-    nu0, nu1, nu2 = app.coframe
 
-    def expand(bracket: VectorField) -> tuple[Expr, Expr, Expr]:
-        return (
-            evaluate(nu0, [bracket]),
-            evaluate(nu1, [bracket]),
-            evaluate(nu2, [bracket]),
-        )
+    def expand(bracket: VectorField) -> tuple[Expr, Expr]:
+        return evaluate(app.nu1, [bracket]), evaluate(app.nu2, [bracket])
 
-    b10 = expand(lie_bracket(x1, x0))
-    b20 = expand(lie_bracket(x2, x0))
-    b21 = expand(lie_bracket(x2, x1))
-
-    for name, comp in (("[X1,X0]", b10[0]), ("[X2,X0]", b20[0])):
-        if comp.is_zero() is Tri.FALSE:
-            raise NonHorizontalBracket(f"{name} has a Reeb component")
-    if (b21[0] - 1).is_zero() is Tri.FALSE:
-        raise NonHorizontalBracket("[X2,X1] does not have Reeb coefficient 1")
-
-    sf = StructureFunctions(
-        c011=b10[1], c012=b10[2],
-        c021=b20[1], c022=b20[2],
-        c121=b21[1], c122=b21[2],
-    )
+    c011, c012 = expand(lie_bracket(x1, x0))
+    c021, c022 = expand(lie_bracket(x2, x0))
+    sf = StructureFunctions(c011, c012, c021, c022, c121=app.a, c122=app.b)
     sf.validate_trace()
     return sf
 

@@ -308,10 +308,13 @@ def dualize_structure_equations(
 
 ALGEBRA_NAMES = ("heisenberg", "sl2_e", "sl2_n", "sl2_f", "isometry4", "conformal8")
 
+#: The algebras whose brackets carry the curvature parameter kappa.
+KAPPA_ALGEBRAS = ("sl2_e", "sl2_n")
+
 
 def catalog_algebra(name: str, kappa: Optional[Expr] = None) -> LieAlgebra:
     chart = kappa.chart if kappa is not None else PARAM_CHART
-    if kappa is None and name in ("sl2_e", "sl2_n"):
+    if kappa is None and name in KAPPA_ALGEBRAS:
         kappa = chart.var("kappa")
     one = chart.one()
 

@@ -354,8 +354,11 @@ def _split_sections(text: str):
         if "=" not in line:
             raise ExprSyntaxError("expected key = value", lineno, 1)
         key, value = line.split("=", 1)
+        key = key.strip()
+        if any(entry[1] == key for entry in sections[current]):
+            raise ExprSyntaxError(f"duplicate key {key!r} in [{current}]", lineno, 1)
         value_col = line.index("=") + 2
-        sections[current].append((lineno, key.strip(), value.strip(), value_col))
+        sections[current].append((lineno, key, value.strip(), value_col))
     return sections
 
 

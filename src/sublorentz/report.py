@@ -158,9 +158,7 @@ def _symmetry_entries(app, fields) -> list[dict]:
             if verdict.kind == "conformal":
                 entry["mu"] = render_expr(verdict.mu)
             if verdict.kind in ("isometry", "conformal"):
-                residuals = []
-                for n in (2, 3):
-                    residuals.extend(binomial_identity_check(Z, app, n))
+                residuals = [r for n in (2, 3) for r in binomial_identity_check(Z, app, n)]
                 entry["bracket_series_residuals_zero"] = tri_word(ex.all_zero(residuals))
         else:
             entry["verdict"] = "neither" if pres is Tri.FALSE else "unknown"

@@ -4,7 +4,9 @@ A candidate field Z must preserve the distribution (both brackets [Z, Xi]
 horizontal).  The restricted Lie derivative of the metric along Z is then a
 symmetric 2x2 matrix on the frame; Z is an infinitesimal isometry when it
 vanishes and conformal with factor mu when it equals mu * g.  Higher-order
-derivatives iterate the same bracket-level formula.
+derivatives iterate the same bracket-level formula.  Each candidate walks
+one chain ad_Z^k Xi, which decides preservation and feeds the Lie
+derivative, the conformal factor and the bracket series.
 
 The fiber side realizes the same data through canonical momenta, declared as
 coordinates of a phase chart: fiber-linear polynomials h_X, the quadratic
@@ -15,6 +17,7 @@ Hamiltonian -h1^2/2 + h2^2/2, and a Poisson bracket whose sign is pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -27,21 +30,46 @@ from .invariants import METRIC_DIAG, StructureFunctions
 Matrix2 = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
 
+class _AdChain:
+    """The chain ad_Z^k X1, ad_Z^k X2 of one candidate Z, each bracket taken
+    once: [Z,X1] and [Z,X2] decide preservation, and the frame parts
+    (nu1, nu2) of each level are read on demand.  Their Reeb parts need no
+    test: zero at k = 0, not FALSE at k = 1 unless preservation is, and zero
+    at the later levels, which only a preserving Z reaches."""
+
+    def __init__(self, Z: VectorField, app: ContactApparatus):
+        self.Z, self.app = Z, app
+        self.rows = [[X, lie_bracket(Z, X)] for X in app.frame.fields]
+        self.preserved = all_zero(evaluate(app.nu0, [row[1]]) for row in self.rows)
+        self.levels: list[tuple[tuple[Expr, Expr], tuple[Expr, Expr]]] = []
+
+    def level(self, k: int) -> tuple[tuple[Expr, Expr], tuple[Expr, Expr]]:
+        nu1, nu2 = self.app.nu1, self.app.nu2
+        for n in range(len(self.levels), k + 1):
+            for row in self.rows:
+                if len(row) == n:
+                    row.append(lie_bracket(self.Z, row[-1]))
+            self.levels.append(tuple((evaluate(nu1, [row[n]]), evaluate(nu2, [row[n]]))
+                                     for row in self.rows))
+        return self.levels[k]
+
+
+@lru_cache(maxsize=1)
+def _ad_chain(Z: VectorField, app: ContactApparatus) -> _AdChain:
+    """The last candidate's chain: its preservation verdict, conformal factor
+    and bracket series share one walk."""
+    return _AdChain(Z, app)
+
+
+def _preserving_chain(Z: VectorField, app: ContactApparatus) -> _AdChain:
+    chain = _ad_chain(Z, app)
+    if chain.preserved is not Tri.TRUE:
+        raise DistributionNotPreserved("Z does not preserve the distribution")
+    return chain
+
+
 def preserves_distribution(Z: VectorField, app: ContactApparatus) -> Tri:
-    nu0 = app.nu0
-    parts = [
-        evaluate(nu0, [lie_bracket(Z, app.frame.x1)]),
-        evaluate(nu0, [lie_bracket(Z, app.frame.x2)]),
-    ]
-    return all_zero(parts)
-
-
-def _horizontal_parts(app: ContactApparatus, V: VectorField) -> tuple[Expr, Expr]:
-    """Expand a horizontal field in the frame; reject a Reeb component."""
-    vertical = evaluate(app.nu0, [V])
-    if vertical.is_zero() is Tri.FALSE:
-        raise DistributionNotPreserved("bracket left the distribution")
-    return (evaluate(app.nu1, [V]), evaluate(app.nu2, [V]))
+    return _ad_chain(Z, app).preserved
 
 
 def restricted_lie_derivative(Z: VectorField, app: ContactApparatus,
@@ -49,20 +77,13 @@ def restricted_lie_derivative(Z: VectorField, app: ContactApparatus,
     """Matrix of the order-th restricted Lie derivative of g on (X1, X2)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if preserves_distribution(Z, app) is not Tri.TRUE:
-        raise DistributionNotPreserved("Z does not preserve the distribution")
-    return _lie_derivative(Z, app, order)
+    return _lie_derivative(_preserving_chain(Z, app), order)
 
 
-def _lie_derivative(Z: VectorField, app: ContactApparatus, order: int) -> Matrix2:
-    x = app.frame.fields
-    ad = [
-        _horizontal_parts(app, lie_bracket(Z, x[0])),
-        _horizontal_parts(app, lie_bracket(Z, x[1])),
-    ]
-    t = _metric(app.chart)
+def _lie_derivative(chain: _AdChain, order: int) -> Matrix2:
+    t = _metric(chain.app.chart)
     for _ in range(order):
-        t = _lie_step(Z, t, ad)
+        t = _lie_step(chain.Z, t, chain.level(1))
     return t
 
 
@@ -106,11 +127,11 @@ class SymmetryVerdict:
 def conformal_factor(Z: VectorField, app: ContactApparatus) -> SymmetryVerdict:
     """Classify Z from L = restricted Lie derivative: L = 0 means isometry,
     L = mu*g conformal, anything else neither."""
-    pres = preserves_distribution(Z, app)
-    if pres is Tri.FALSE:
+    chain = _ad_chain(Z, app)
+    if chain.preserved is Tri.FALSE:
         raise DistributionNotPreserved("Z does not preserve the distribution")
-    L = _lie_derivative(Z, app, 1)
-    if pres is Tri.UNKNOWN:
+    L = _lie_derivative(chain, 1)
+    if chain.preserved is Tri.UNKNOWN:
         return SymmetryVerdict("unknown", None, L)
     off = L[0][1].is_zero()
     trace = (L[0][0] + L[1][1]).is_zero()
@@ -134,23 +155,15 @@ def binomial_identity_check(Z: VectorField, app: ContactApparatus, n: int) -> tu
     (-2)^n g for the weighted dilation of the Heisenberg frame."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if preserves_distribution(Z, app) is not Tri.TRUE:
-        raise DistributionNotPreserved("Z does not preserve the distribution")
+    chain = _preserving_chain(Z, app)
     chart = app.chart
-    powers: list[list[tuple[Expr, Expr]]] = []
-    for X in app.frame.fields:
-        row = []
-        current = X
-        for _k in range(n + 1):
-            row.append(_horizontal_parts(app, current))
-            current = lie_bracket(Z, current)
-        powers.append(row)
+    levels = [chain.level(k) for k in range(n + 1)]
 
     def g(u: tuple[Expr, Expr], v: tuple[Expr, Expr]) -> Expr:
         return dot((chart.number(c) * a, b) for c, a, b in zip(METRIC_DIAG, u, v))
 
     def residual(i: int, j: int) -> Expr:
-        return dot((chart.number(comb(n, k)), g(powers[i][k], powers[j][n - k]))
+        return dot((chart.number(comb(n, k)), g(levels[k][i], levels[n - k][j]))
                    for k in range(n + 1))
 
     return (residual(0, 0), residual(0, 1), residual(1, 1))

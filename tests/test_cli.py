@@ -6,16 +6,20 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from sublorentz import cli, expr, invariants, lie_algebra
+from sublorentz import calculus, cli, contact, expr, invariants, lie_algebra, ode_bridge, symmetry
 from sublorentz import report as report_module
 from sublorentz.cli import main
 from sublorentz.errors import EngineError
 from sublorentz.parsing import parse_structure_file
+
+HEISENBERG_SYMMETRY = Path(__file__).resolve().parents[1] / "perfbench" / "heisenberg_symmetry.txt"
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +102,18 @@ class TestSymmetryCommand:
         assert code == 3
         assert "symmetry" in err
 
+    def test_repeated_name_cannot_mask_an_undecided_field(self, capsys, tmp_path):
+        """Two fields named Z would share one symmetry_Z_decided check, and
+        the decided second would hide the undecided first."""
+        path = tmp_path / "masked.toml"
+        path.write_text(
+            "[frame]\nX1 = d/dx - (1/2)*y*d/dz\nX2 = d/dy + (1/2)*x*d/dz\n\n"
+            "[symmetry]\nZ = (sinh(2*x) - 2*sinh(x)*cosh(x))*d/dz\nZ = d/dz\n"
+        )
+        code, out, err = run_cli(capsys, "symmetry", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: duplicate key 'Z' in [symmetry] (line 7, column 1)\n"
+
 
 class TestTransformCommands:
     def test_rotate_invariance_checks(self, capsys):
@@ -158,6 +174,12 @@ class TestAlgebraCommand:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["heisenberg", "sl2_f", "isometry4", "conformal8"])
+    def test_kappa_refused_without_a_kappa(self, capsys, name):
+        code, out, err = run_cli(capsys, "algebra", name, "--kappa", "3")
+        assert (code, out) == (3, "")
+        assert err == f"error: algebra {name} has no kappa (--kappa: sl2_e, sl2_n)\n"
 
     def test_heisenberg_label(self, capsys):
         code, report, _ = run_json(capsys, "algebra", "heisenberg")
@@ -393,6 +415,36 @@ class TestOneComputePerContext:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(calls) == computes
+
+    @pytest.mark.parametrize("argv, brackets, evaluations", [
+        (["analyze", "martinet"], 3, 18),
+        (["rotate", "heisenberg", "--theta", "x*y"], 6, 24),
+        (["dilate", "martinet", "--scale", "s"], 6, 24),
+        (["symmetry", str(HEISENBERG_SYMMETRY)], 17, 55),
+    ])
+    def test_bracket_and_evaluate_calls(self, capsys, monkeypatch, argv, brackets,
+                                        evaluations):
+        """Each bracket and pairing is taken once: the apparatus brackets
+        [X2,X1], the structure functions [X1,X0] and [X2,X0], and each
+        symmetry candidate walks one chain ad_Z^k Xi up to k = 3."""
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(calculus, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return original, counted
+
+        for name in ("lie_bracket", "evaluate"):
+            original, counted = counting(name)
+            for module in (calculus, contact, invariants, symmetry, ode_bridge):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (calls["lie_bracket"], calls["evaluate"]) == (brackets, evaluations)
 
 
 class TestAtomOutputs:

@@ -171,6 +171,24 @@ class TestStructureFiles:
         with pytest.raises(ExprSyntaxError, match=r"unknown section \[transform\]"):
             parse_structure_file(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("[frame]\nX1 = d/dx\nX2 = d/dy + x*d/dz\nX1 = d/dx + y*d/dz\n", 4),
+        ("[algebra]\nc011 = 1\nc011 = 2\n", 3),
+        ("[chart]\ncoords = x, y, z\ncoords = u, v, w\n[frame]\nX1 = d/dx\n", 3),
+        ("[params]\nnames = k\nnames = s\n[algebra]\n", 3),
+        (MARTINET_FILE + "\n[symmetry]\nZ = d/dz\nZ = d/dx\n", 11),
+    ])
+    def test_duplicate_key_rejected(self, text, line):
+        """A repeated key would silently replace the first; it is refused
+        with the line of the repeat."""
+        with pytest.raises(ExprSyntaxError, match="duplicate key") as err:
+            parse_structure_file(text)
+        assert err.value.line == line
+
+    def test_same_key_in_two_sections(self):
+        text = MARTINET_FILE + "\n[symmetry]\nX1 = d/dz\n"
+        assert parse_structure_file(text).symmetry_fields[0][0] == "X1"
+
     def test_unknown_section(self):
         with pytest.raises(ExprSyntaxError):
             parse_structure_file("[frames]\nX1 = d/dx\n")
