@@ -207,6 +207,14 @@ def _coshes(field: FracField) -> tuple:
                  for a, i in _atoms(field).items() if isinstance(a, sp.cosh))
 
 
+@functools.cache
+def _units(field: FracField) -> tuple:
+    """1 + sinh(u)^2 in the ring, per sinh generator: cosh(u)^2, which a
+    cosh leaves below and which vanishes nowhere."""
+    gens = field.ring.gens
+    return tuple(1 + gens[i] ** 2 for a, i in _atoms(field).items() if isinstance(a, sp.sinh))
+
+
 def _fold_cosh(f: FracElement) -> FracElement:
     """f with each cosh(u) of degree at most 1 and out of a denominator that
     it divides: n/(d*cosh(u)) = n*cosh(u)/(d*(1 + sinh(u)^2)).  Any other
@@ -606,7 +614,13 @@ def _nonzero_monomial_certificate(chart: Chart, field: FracField, poly) -> bool:
     atoms, exp(c) for a rational c counting as a coefficient (Lindemann: it
     is transcendental), and each atom factor is certified nonvanishing as a
     function: exp and cosh never vanish; sinh(u) vanishes identically only
-    for u == 0; log(u) only for u == 1.  Then it is not the zero function."""
+    for u == 0; log(u) only for u == 1.  Then it is not the zero function.
+    Each factor 1 + sinh(u)^2, which is cosh(u)^2, is divided out first."""
+    for unit in _units(field):
+        quotient, rest = divmod(poly, unit)
+        while not rest:
+            poly = quotient
+            quotient, rest = divmod(poly, unit)
     atoms = [(i, a) for a, i in _atoms(field).items() if _exp_key(a)[0] != ("exp", 1)]
     monoms = {tuple(m[i] for i, _ in atoms) for m in poly.itermonoms()}
     if len(monoms) != 1:
@@ -689,7 +703,9 @@ def determinant(rows) -> Expr:
 def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
     """Irreducible non-constant factors of the numerators and denominators of
     `exprs`, whose zero sets were excluded along the way, each once up to sign.
-    1 + sinh(u)^2, which a cosh leaves below, vanishes nowhere and is left out."""
+    1 + sinh(u)^2, which a cosh leaves below, vanishes nowhere and is left out.
+    They come in the order of sympy's `default_sort_key` of their trees,
+    computed over an unevaluated sum (`_sort_key`)."""
     seen: list[Expr] = []
     done: list[Expr] = []
     for e in exprs:
@@ -697,8 +713,7 @@ def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
             continue
         done.append(e)
         f = e._frac
-        gens = f.field.ring.gens
-        units = [1 + gens[i] ** 2 for a, i in _atoms(f.field).items() if isinstance(a, sp.sinh)]
+        units = _units(f.field)
         for poly in (f.numer, f.denom):
             for fac, _mult in poly.factor_list()[1]:
                 if fac in units or -fac in units:
@@ -706,7 +721,20 @@ def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
                 fac = Expr(chart, f.field.new(fac))
                 if not any(fac == s or -fac == s for s in seen):
                     seen.append(fac)
-    return tuple(sorted(seen, key=lambda fac: sp.default_sort_key(fac.sym)))
+    return tuple(sorted(seen, key=_sort_key))
+
+
+def _sort_key(e: Expr) -> tuple:
+    """`sp.default_sort_key(e.sym)` of a polynomial value e, from the terms
+    `as_expr` builds.  Their sum is left unevaluated (a single term is the
+    term itself): `as_ordered_terms` sorts the same terms afresh for the
+    key, and `Add.flatten` would import `sympy.tensor` (about 40 ms of CPU)
+    for nothing."""
+    field = e._frac.field
+    to_sympy = field.ring.domain.to_sympy
+    terms = (sp.Mul(to_sympy(c), *(g ** k for g, k in zip(field.symbols, monom) if k))
+             for monom, c in e._frac.numer.iterterms())
+    return sp.default_sort_key(sp.Add(*terms, evaluate=False))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -778,8 +806,7 @@ def render_expr(e: Expr) -> str:
     """Canonical text of e in the parser's grammar, read off its field's
     terms as the module docstring describes."""
     chart, f = e.chart, e._frac
-    symbols = f.field.symbols
-    names = [(symbols.index(sp.Symbol(n)), n, 1) for n in chart.names]
+    names = [(_index(f.field, n), n, 1) for n in chart.names]
 
     def render(poly):
         monoms = list(poly.itermonoms())

@@ -384,6 +384,16 @@ class TestFrameInversion:
         result = self.analyze(capsys, tmp_path, "d/dx", "d/dy")
         assert result == (3, "", "error: singular linear system\n")
 
+    def test_cosh_squared_determinant_decided(self, capsys, tmp_path):
+        # the contact determinant is a multiple of cosh(y)^2 = sinh(y)^2 + 1,
+        # which vanishes nowhere
+        code, out, err = self.analyze(capsys, tmp_path, "cosh(y)*d/dx", "d/dy + x*d/dz")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["status"] == "pass"
+        assert report["apparatus"]["contact_locus"] == "sinh(y)^2 + 1"
+        assert report["apparatus"]["excluded_loci"] == []
+
     def test_undecidable(self, capsys, tmp_path):
         x2 = "d/dy + (sinh(2*x) - 2*sinh(x)*cosh(x) + x)*d/dz"
         result = self.analyze(capsys, tmp_path, "d/dx", x2)

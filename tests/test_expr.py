@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import ast
 import contextlib
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +22,10 @@ from sublorentz import expr as ex
 from sublorentz.cli import main
 from sublorentz.errors import DivisionByZero, EngineError, NonRationalValue, NonRealValue, UnknownSymbol
 from sublorentz.expr import Chart, Expr, Tri, render_expr
-from sublorentz.parsing import parse_expr, parse_structure_file
+from sublorentz.parsing import parse_expr, parse_structure_file, render_field
 from sublorentz.report import analyze_definition
+
+from .randgen import random_frame
 
 
 CH = Chart(("x", "y", "z"), ("k", "t", "u"))
@@ -138,6 +142,16 @@ class TestIsZero:
     def test_monomial_over_coshes(self):
         text = "sinh(x)*cosh(y)*cosh(2*x)/(x + cosh(x) + cosh(y) + cosh(2*x))"
         assert parse_expr(text, CH).is_zero() is Tri.FALSE
+
+    @pytest.mark.parametrize("text", ["-cosh(y)^2", "cosh(y)^3", "x*sinh(x)*cosh(y)^2",
+                                      "cosh(x)^2*cosh(y)^4/(x + cosh(y))"])
+    def test_cosh_squared_vanishes_nowhere(self, text):
+        # cosh(u)^2 is folded to 1 + sinh(u)^2: no monomial, but a unit
+        assert parse_expr(text, CH).is_zero() is Tri.FALSE
+
+    @pytest.mark.parametrize("text", ["cosh(2*y) - 1 - 2*sinh(y)^2", "x*cosh(y)^2 + sinh(x)*cosh(y)^2"])
+    def test_cosh_squared_times_no_monomial_is_undecided(self, text):
+        assert parse_expr(text, CH).is_zero() is Tri.UNKNOWN
 
 
 class TestCoshBelow:
@@ -601,6 +615,26 @@ def test_dot_with_a_cosh_adds_one_product_at_a_time(a, b, c, d):
     assert ex.dot([(a, b), (c, d)]) == CH.zero() + a * b + c * d
 
 
+def _numerator_and_its_factors(e):
+    f = e._frac
+    polys = [f.numer] + [fac for fac, _ in f.numer.factor_list()[1]]
+    return [Expr(e.chart, f.field.new(p)) for p in polys]
+
+
+@given(st.one_of(exprs(), field_values((ex.exp, ex.sinh, lambda e: ex.log(e ** 2 + 1)))))
+# two terms, a positive number and a negative multiple: `as_ordered_terms`
+# keeps them in that order
+@example(1 - 2 * var("x"))
+@example(3 * var("z") - 1)
+@example(parse_expr("exp(1) - 2*x*exp(y)", CH))
+@example(parse_expr("(exp(1) - 2)*(x - y)*(1 - x*sinh(y))", CH))
+def test_loci_are_sorted_by_the_key_of_their_trees(e):
+    """`vanishing_loci` sorts by sympy's `default_sort_key` of each factor's
+    tree, computed without evaluating the tree's sum."""
+    for value in _numerator_and_its_factors(e):
+        assert ex._sort_key(value) == sp.default_sort_key(value.sym)
+
+
 def test_operators_do_not_use_the_fields_arithmetic(monkeypatch):
     """Expr's operators and diff reduce each fraction once, by their own
     rules, and never through FracElement's cancelling operators."""
@@ -709,6 +743,28 @@ def test_atom_text_does_not_depend_on_the_hash_seed():
                               text=True, check=True, timeout=120)
         texts.add(done.stdout)
     assert texts == {"-exp(x1)/(x1 - x01)\n"}
+
+
+def test_atom_free_analyze_does_not_load_sympy_tensor(tmp_path):
+    """sympy imports `sympy.tensor` on the first sum it evaluates (about
+    40 ms of CPU).  The loci are sorted over unevaluated sums, so an
+    `analyze` without atoms evaluates none and never pays it."""
+    rng = random.Random(100123)
+    frame = [random_frame(rng, Chart()) for _ in range(2)][1]  # frames-100123-1
+    path = tmp_path / "frame.toml"
+    path.write_text(f"[frame]\nX1 = {render_field(frame.x1)}\nX2 = {render_field(frame.x2)}\n")
+    program = (
+        "import sys\n"
+        "from sublorentz.cli import main\n"
+        "assert main(['analyze', sys.argv[1], '--format', 'json']) == 0\n"
+        "print('sympy.tensor.tensor' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", program, str(path)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    report, loaded = done.stdout.rsplit("\n", 2)[:2]
+    assert json.loads(report)["apparatus"]["excluded_loci"] == ["x - y", "3*z - 1"]
+    assert loaded == "False"
 
 
 def grammar_texts(depth=4):
