@@ -524,13 +524,13 @@ class Expr:
     def is_zero(self) -> Tri:
         """Sound identically-zero test: never lies, may return UNKNOWN.
         A value with atoms is nonzero when its numerator is a certified
-        monomial (`_nonzero_monomial_certificate`)."""
+        monomial or one-signed (`_nonzero_certificate`)."""
         f = self._frac
         if not f:
             return Tri.TRUE
         if not _atoms(f.field):
             return Tri.FALSE
-        return Tri.FALSE if _nonzero_monomial_certificate(self.chart, f.field, f.numer) else Tri.UNKNOWN
+        return Tri.FALSE if _nonzero_certificate(self.chart, f.field, f.numer) else Tri.UNKNOWN
 
     def is_rational_constant(self) -> bool:
         f = self._frac
@@ -609,13 +609,15 @@ def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
     return Expr(chart, _reduce(field, numer, denom))
 
 
-def _nonzero_monomial_certificate(chart: Chart, field: FracField, poly) -> bool:
-    """True when the polynomial `poly` of `field` is a single monomial in the
-    atoms, exp(c) for a rational c counting as a coefficient (Lindemann: it
-    is transcendental), and each atom factor is certified nonvanishing as a
-    function: exp and cosh never vanish; sinh(u) vanishes identically only
-    for u == 0; log(u) only for u == 1.  Then it is not the zero function.
-    Each factor 1 + sinh(u)^2, which is cosh(u)^2, is divided out first."""
+def _nonzero_certificate(chart: Chart, field: FracField, poly) -> bool:
+    """True when the polynomial `poly` of `field` is certified not to be the
+    zero function.  Each factor 1 + sinh(u)^2, which is cosh(u)^2, is divided
+    out first.  Then some term's atom factors must be certified nonvanishing
+    as functions (exp and cosh never vanish; sinh(u) vanishes identically only
+    for u == 0; log(u) only for u == 1), and either poly is a single monomial
+    in the atoms, exp(c) for a rational c counting as a coefficient
+    (Lindemann: it is transcendental), or it is `_one_signed`, so that it
+    vanishes only where each of its terms does."""
     for unit in _units(field):
         quotient, rest = divmod(poly, unit)
         while not rest:
@@ -623,18 +625,30 @@ def _nonzero_monomial_certificate(chart: Chart, field: FracField, poly) -> bool:
             quotient, rest = divmod(poly, unit)
     atoms = [(i, a) for a, i in _atoms(field).items() if _exp_key(a)[0] != ("exp", 1)]
     monoms = {tuple(m[i] for i, _ in atoms) for m in poly.itermonoms()}
-    if len(monoms) != 1:
+    if len(monoms) > 1 and not _one_signed(poly):
         return False
-    for (_, atom), power in zip(atoms, monoms.pop()):
-        if power == 0 or isinstance(atom, (sp.exp, sp.cosh)):
-            continue
-        u = _argument(chart, atom)
-        if isinstance(atom, sp.sinh) and u.is_zero() is Tri.FALSE:
-            continue
-        if isinstance(atom, sp.log) and (u - 1).is_zero() is Tri.FALSE:
-            continue
-        return False
-    return True
+    return any(all(power == 0 or _nonvanishing(chart, atom) for (_, atom), power in zip(atoms, monom))
+               for monom in monoms)
+
+
+def _nonvanishing(chart: Chart, atom: sp.Expr) -> bool:
+    """True when `atom` is certified not to be the zero function."""
+    if isinstance(atom, (sp.exp, sp.cosh)):
+        return True
+    u = _argument(chart, atom)
+    if isinstance(atom, sp.sinh):
+        return u.is_zero() is Tri.FALSE
+    return isinstance(atom, sp.log) and (u - 1).is_zero() is Tri.FALSE
+
+
+def _one_signed(poly) -> bool:
+    """True when the coefficients of `poly` share one sign and the generators
+    that take negative values (names, sinh, log; exp and cosh are positive)
+    have only even exponents: then every term keeps that sign everywhere."""
+    signed = [i for i, g in enumerate(poly.ring.symbols)
+              if not (_is_exp(g) or isinstance(g, sp.cosh))]
+    return (len({c > 0 for c in poly.itercoeffs()}) == 1
+            and not any(m[i] % 2 for m in poly.itermonoms() for i in signed))
 
 
 # -- atoms and the family zero test -----------------------------------------
@@ -665,14 +679,9 @@ def log(e: Expr) -> Expr:
 
 
 def _nowhere_positive(f: FracElement) -> bool:
-    """True when f's numerator and denominator each have coefficients of one
-    sign and only even exponents on the generators that take negative values
-    (names, sinh, log; exp and cosh are positive), and the signs differ."""
-    signed = [i for i, g in enumerate(f.field.symbols)
-              if not (_is_exp(g) or isinstance(g, sp.cosh))]
-    signs = [{c > 0 for c in p.itercoeffs()} for p in (f.numer, f.denom)
-             if not any(m[i] % 2 for m in p.itermonoms() for i in signed)]
-    return signs in ([{True}, {False}], [{False}, {True}])
+    """True when f's numerator and denominator are each `_one_signed`, and
+    their signs differ."""
+    return _one_signed(f.numer) and _one_signed(f.denom) and (f.numer.LC > 0) != (f.denom.LC > 0)
 
 
 def all_zero(exprs: Iterable[Expr]) -> Tri:

@@ -1,7 +1,8 @@
-"""Finite-dimensional real Lie algebras by structure constants: Jacobi
-validation, Killing form with exact determinant and inertia, structure
-functions of a marked basis, dualization of constant-coefficient structure
-equations, and the built-in catalog of algebras used by the test fixtures.
+"""Finite-dimensional real Lie algebras by sparse structure constants (every
+loop walks only the nonzero ones): Jacobi validation, Killing form with exact
+determinant and inertia, structure functions of a marked basis, dualization
+of constant-coefficient structure equations, and the built-in catalog of
+algebras used by the test fixtures.
 
 Dualization convention: for a constant coframe, dw^k(e_i, e_j) = -w^k([e_i, e_j]),
 so c^k_ij = -(coefficient of w^i ^ w^j in dw^k).  A round-trip test pins this:
@@ -24,57 +25,56 @@ PARAM_CHART = Chart((), ("kappa",))
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure constants c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k."""
+    """Structure constants c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k, as
+    brackets[(i, j)][k] = c^k_ij: in both orders, nonzero constants only, so
+    a pair that commutes has no entry."""
 
     chart: Chart
     labels: tuple[str, ...]
-    table: tuple[tuple[tuple[Expr, ...], ...], ...]  # table[i][j][k] = c^k_ij
+    brackets: dict[tuple[int, int], dict[int, Expr]]
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
+    def _terms(self, i: int, j: int) -> Mapping[int, Expr]:
+        """The nonzero c^k_ij of [e_i, e_j], by k."""
+        return self.brackets.get((i, j), {})
+
     def bracket(self, i: int, j: int) -> tuple[Expr, ...]:
-        return self.table[i][j]
+        terms, zero = self._terms(i, j), self.chart.zero()
+        return tuple(terms.get(k, zero) for k in range(self.dim))
 
     def bracket_of(self, u: Sequence[Expr], v: Sequence[Expr]) -> tuple[Expr, ...]:
-        n = self.dim
-        zero = self.chart.zero()
-        out = [zero for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                coeff = u[i] * v[j]
-                if coeff == zero:
-                    continue
-                for k in range(n):
-                    c = self.table[i][j][k]
-                    if c != zero:
-                        out[k] = out[k] + coeff * c
+        out = [self.chart.zero()] * self.dim
+        for (i, j), terms in self.brackets.items():
+            coeff = u[i] * v[j]
+            for k, c in terms.items():
+                out[k] = out[k] + coeff * c
         return tuple(out)
 
     def nonzero_brackets(self):
-        n = self.dim
-        zero = self.chart.zero()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if any(c != zero for c in self.table[i][j]):
-                    yield (i, j, self.table[i][j])
+        for i, j in sorted(self.brackets):
+            if i < j:
+                yield (i, j, self.bracket(i, j))
 
 
 def algebra_from_brackets(chart: Chart, labels: Sequence[str],
                           brackets: Mapping[tuple[int, int], Mapping[int, Expr]]) -> LieAlgebra:
-    n = len(labels)
+    """The algebra of the given [e_i, e_j] = sum_k c^k_ij e_k; a pair given in
+    both orders adds up antisymmetrically, and constants that cancel go."""
     zero = chart.zero()
-    table = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    table: dict[tuple[int, int], dict[int, Expr]] = {}
     for (i, j), comps in brackets.items():
         if i == j:
             raise BracketPatternViolation("bracket of equal basis elements must vanish")
         for k, coeff in comps.items():
             c = coeff if isinstance(coeff, Expr) else chart.number(coeff)
-            table[i][j][k] = table[i][j][k] + c
-            table[j][i][k] = table[j][i][k] - c
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    return LieAlgebra(chart, tuple(labels), frozen)
+            for key, value in (((i, j), c), ((j, i), -c)):
+                slot = table.setdefault(key, {})
+                slot[k] = slot.get(k, zero) + value
+    nonzero = ((ij, {k: c for k, c in terms.items() if c != zero}) for ij, terms in table.items())
+    return LieAlgebra(chart, tuple(labels), {ij: terms for ij, terms in nonzero if terms})
 
 
 # -- validation ----------------------------------------------------------------
@@ -83,21 +83,15 @@ def algebra_from_brackets(chart: Chart, labels: Sequence[str],
 def jacobi_residuals(L: LieAlgebra) -> list[Expr]:
     """All residuals of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
     n = L.dim
-    zero = L.chart.zero()
     residuals = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = [zero for _ in range(n)]
+                acc = [L.chart.zero()] * n
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = L.bracket(a, b)
-                    for m in range(n):
-                        if inner[m] == zero:
-                            continue
-                        outer = L.bracket(m, c)
-                        for l in range(n):
-                            if outer[l] != zero:
-                                acc[l] = acc[l] + inner[m] * outer[l]
+                    for m, inner in L._terms(a, b).items():
+                        for l, outer in L._terms(m, c).items():
+                            acc[l] = acc[l] + inner * outer
                 residuals.extend(acc)
     return residuals
 
@@ -117,23 +111,20 @@ class KillingData:
 
 
 def killing_form(L: LieAlgebra) -> KillingData:
+    """K_ij = tr(ad_i ad_j) = sum over a, b of c^a_ib c^b_ja: the upper
+    triangle, mirrored."""
     n = L.dim
     zero = L.chart.zero()
-    K = [[zero for _ in range(n)] for _ in range(n)]
+    K = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             acc = zero
-            for a in range(n):
-                for b in range(n):
-                    cia = L.table[i][b][a]  # ad_i[a][b]
-                    if cia == zero:
-                        continue
-                    cjb = L.table[j][a][b]  # ad_j[b][a]
-                    if cjb == zero:
-                        continue
-                    acc = acc + cia * cjb
-            K[i][j] = acc
-            K[j][i] = acc
+            for b in range(n):
+                for a, cia in L._terms(i, b).items():
+                    cj = L._terms(j, a)
+                    if b in cj:
+                        acc = acc + cia * cj[b]
+            K[i][j] = K[j][i] = acc
     det = determinant(K)
     signature = None
     if all(K[i][j].is_rational_constant() for i in range(n) for j in range(n)):
@@ -198,11 +189,10 @@ def is_automorphism(L: LieAlgebra, T: Sequence[Sequence[Expr]]) -> Tri:
     """Check [T e_i, T e_j] = T [e_i, e_j] for all basis pairs."""
     n = L.dim
     residuals = []
-    basis = [tuple(L.chart.number(1 if t == i else 0) for t in range(n)) for i in range(n)]
+    columns = [tuple(row[i] for row in T) for i in range(n)]  # T e_i
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = L.bracket_of(apply_linear_map(L, T, basis[i]),
-                               apply_linear_map(L, T, basis[j]))
+            lhs = L.bracket_of(columns[i], columns[j])
             rhs = apply_linear_map(L, T, L.bracket(i, j))
             residuals.extend(a - b for a, b in zip(lhs, rhs))
     return all_zero(residuals)
@@ -212,16 +202,10 @@ def ad_invariance_residuals(L: LieAlgebra) -> list[Expr]:
     """Entries of K([e_i,e_j], e_k) + K(e_j, [e_i,e_k]) over all basis triples."""
     K = killing_form(L).matrix
     n = L.dim
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bij = L.bracket(i, j)
-                bik = L.bracket(i, k)
-                term1 = sum((bij[m] * K[m][k] for m in range(n)), L.chart.zero())
-                term2 = sum((bik[m] * K[j][m] for m in range(n)), L.chart.zero())
-                out.append(term1 + term2)
-    return out
+    zero = L.chart.zero()
+    return [sum((c * K[m][k] for m, c in L._terms(i, j).items()), zero)
+            + sum((c * K[j][m] for m, c in L._terms(i, k).items()), zero)
+            for i in range(n) for j in range(n) for k in range(n)]
 
 
 def killing_invariance_residuals(L: LieAlgebra, T: Sequence[Sequence[Expr]]) -> list[Expr]:
@@ -248,23 +232,13 @@ def structure_functions_of_marking(L: LieAlgebra, marking: tuple[int, int, int])
     Requires [X1,X0], [X2,X0] in span{X1,X2} and [X2,X1] = c X1 + c X2 + X0.
     """
     i1, i2, i0 = marking
-    n = L.dim
-
-    def expand(i: int, j: int):
-        vec = L.bracket(i, j)
-        for m in range(n):
-            if m in (i1, i2, i0):
-                continue
-            if vec[m].is_zero() is not Tri.TRUE:
-                raise BracketPatternViolation("bracket leaves the marked subalgebra")
-        return vec
-
-    b10 = expand(i1, i0)
-    b20 = expand(i2, i0)
-    b21 = expand(i2, i1)
-    if b10[i0].is_zero() is not Tri.TRUE or b20[i0].is_zero() is not Tri.TRUE:
+    for i, j in ((i1, i0), (i2, i0), (i2, i1)):
+        if not set(L._terms(i, j)) <= {i1, i2, i0}:
+            raise BracketPatternViolation("bracket leaves the marked subalgebra")
+    if i0 in L._terms(i1, i0) or i0 in L._terms(i2, i0):
         raise BracketPatternViolation("[Xi, X0] has a Reeb component")
-    if (b21[i0] - 1).is_zero() is not Tri.TRUE:
+    b10, b20, b21 = L.bracket(i1, i0), L.bracket(i2, i0), L.bracket(i2, i1)
+    if b21[i0] != L.chart.one():
         raise BracketPatternViolation("[X2, X1] must have Reeb coefficient exactly 1")
     sf = StructureFunctions(
         c011=b10[i1], c012=b10[i2],
@@ -295,11 +269,7 @@ def dualize_structure_equations(
         for (i, j), a in eq.items():
             if i == j:
                 raise ValueError("w^i ^ w^i vanishes; bad structure equation")
-            a = a if isinstance(a, Expr) else chart.number(a)
-            if i > j:
-                i, j, a = j, i, -a
-            slot = coeff.setdefault((i, j), {})
-            slot[k] = slot.get(k, chart.zero()) - a
+            coeff.setdefault((i, j), {})[k] = -a
     return algebra_from_brackets(chart, labels, coeff)
 
 

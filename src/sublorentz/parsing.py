@@ -142,11 +142,16 @@ class _Parser:
             e = e * rhs if op == "*" else e / rhs
         return e
 
-    def parse_unary(self) -> Expr:
+    def signs(self) -> int:
+        """Read a run of unary + and - signs; return its product, 1 or -1."""
         sign = 1
         while self.at_op("+", "-"):
             if self.next().text == "-":
                 sign = -sign
+        return sign
+
+    def parse_unary(self) -> Expr:
+        sign = self.signs()
         e = self.parse_power()
         return e if sign == 1 else -e
 
@@ -158,14 +163,11 @@ class _Parser:
         return base
 
     def parse_exponent(self) -> int:
-        sign = 1
         if self.at_op("("):
             k = self.nested(self.parse_exponent, self.next())
             self.expect_op(")")
             return k
-        while self.at_op("+", "-"):
-            if self.next().text == "-":
-                sign = -sign
+        sign = self.signs()
         tok = self.next()
         if tok.kind != "NUMBER":
             raise ExprSyntaxError("integer exponent expected", tok.line, tok.column)
@@ -216,55 +218,32 @@ class _Parser:
         return self.chart.coords.index(coord)
 
     def parse_field(self) -> VectorField:
+        """Signed terms, each a product read left to right of scalar factors
+        (`parse_power`) and one basis token, which may not follow a /."""
         comps = [self.chart.zero() for _ in self.chart.coords]
-
-        def add_term(sign: int):
-            coeff = self.chart.one() * sign
-            direction: Optional[int] = None
-            expect_factor = True
+        while True:
+            coeff, direction, op = self.chart.number(self.signs()), None, "*"
             while True:
-                if expect_factor:
-                    if self.at_basis_token():
-                        tok = self.peek()
-                        if direction is not None:
-                            raise ExprSyntaxError("two basis vectors in one term",
-                                                  tok.line, tok.column)
-                        direction = self.parse_basis_token()
-                    else:
-                        coeff = coeff * self.parse_power()
-                    expect_factor = False
-                    continue
-                if self.at_op("*"):
-                    self.next()
-                    expect_factor = True
-                    continue
-                if self.at_op("/"):
-                    self.next()
-                    if self.at_basis_token():
-                        tok = self.peek()
-                        raise ExprSyntaxError("cannot divide by a basis vector",
-                                              tok.line, tok.column)
-                    coeff = coeff / self.parse_power()
-                    continue
-                break
-            tok = self.peek()
+                tok = self.peek()
+                if not self.at_basis_token():
+                    factor = self.parse_power()
+                    coeff = coeff * factor if op == "*" else coeff / factor
+                elif op == "/":
+                    raise ExprSyntaxError("cannot divide by a basis vector", tok.line, tok.column)
+                elif direction is not None:
+                    raise ExprSyntaxError("two basis vectors in one term", tok.line, tok.column)
+                else:
+                    direction = self.parse_basis_token()
+                if not self.at_op("*", "/"):
+                    break
+                op = self.next().text
             if direction is None:
+                tok = self.peek()
                 raise ExprSyntaxError("vector-field term lacks a d/d<coord> factor",
                                       tok.line, tok.column)
             comps[direction] = comps[direction] + coeff
-
-        sign = 1
-        while self.at_op("+", "-"):
-            if self.next().text == "-":
-                sign = -sign
-        add_term(sign)
-        while self.at_op("+", "-"):
-            sign = 1
-            while self.at_op("+", "-"):
-                if self.next().text == "-":
-                    sign = -sign
-            add_term(sign)
-        return VectorField(self.chart, tuple(comps))
+            if not self.at_op("+", "-"):
+                return VectorField(self.chart, tuple(comps))
 
     def finish(self):
         tok = self.peek()

@@ -394,6 +394,24 @@ class TestFrameInversion:
         assert report["apparatus"]["contact_locus"] == "sinh(y)^2 + 1"
         assert report["apparatus"]["excluded_loci"] == []
 
+    @pytest.mark.parametrize("command", ["analyze", "classify"])
+    def test_one_signed_determinant_decided(self, capsys, tmp_path, command):
+        # 2*sinh(y)^2 + 1 has coefficients of one sign and sinh only at even
+        # powers, so it is positive everywhere
+        path = tmp_path / "frame.toml"
+        path.write_text("[frame]\nX1 = d/dx\nX2 = d/dy + x*(2*sinh(y)^2 + 1)*d/dz\n")
+        code, out, err = run_cli(capsys, command, str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "pass"
+
+    def test_cosh_squared_frame_classified(self, capsys, tmp_path):
+        # h_tilde and chi carry 2*sinh(y)^2 + 1, which vanishes nowhere
+        path = tmp_path / "frame.toml"
+        path.write_text("[frame]\nX1 = cosh(y)^2*d/dx\nX2 = d/dy + x*d/dz\n")
+        code, out, err = run_cli(capsys, "classify", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["classification"]["label"] == "Generic"
+
     def test_undecidable(self, capsys, tmp_path):
         x2 = "d/dy + (sinh(2*x) - 2*sinh(x)*cosh(x) + x)*d/dz"
         result = self.analyze(capsys, tmp_path, "d/dx", x2)

@@ -153,6 +153,18 @@ class TestIsZero:
     def test_cosh_squared_times_no_monomial_is_undecided(self, text):
         assert parse_expr(text, CH).is_zero() is Tri.UNKNOWN
 
+    @pytest.mark.parametrize("text", ["2*sinh(y)^2 + 1", "-2*sinh(y)^2 - 1", "x^2*sinh(y)^2 + exp(x)",
+                                      "sinh(x)^2 + sinh(y)^2", "log(x^2 + 1)^2 + cosh(y)*x^4",
+                                      "(2*sinh(y)^2 + 1)*cosh(y)^2/(x - 1)"])
+    def test_one_signed_sum_vanishes_nowhere_identically(self, text):
+        # each term keeps one sign everywhere, and some term is a nonzero function
+        assert parse_expr(text, CH).is_zero() is Tri.FALSE
+
+    @pytest.mark.parametrize("text", ["exp(x) - 1 - x", "sinh(y)^2 - 1", "x*sinh(y)^2 + 1",
+                                      "sinh(y)^3 + 1", "log(x)^2 - sinh(y)^2"])
+    def test_mixed_signs_are_undecided(self, text):
+        assert parse_expr(text, CH).is_zero() is Tri.UNKNOWN
+
 
 class TestCoshBelow:
     """A cosh that divides a denominator leaves it; any other stays, since its

@@ -56,6 +56,21 @@ class TestJacobi:
             assert jacobi_check(catalog_algebra(name)) is Tri.TRUE, name
 
 
+class TestSparseBrackets:
+    """Only nonzero structure constants are stored, in both orders."""
+
+    def test_brackets_that_cancel_are_not_stored(self):
+        # [e0, e1] = e2 given in both orders adds up to zero
+        L = algebra_from_brackets(K, ("e0", "e1", "e2"), {(0, 1): {2: 1}, (1, 0): {2: 1}})
+        assert L.brackets == {}
+        assert L.bracket(0, 1) == (K.zero(),) * 3
+        assert list(L.nonzero_brackets()) == []
+
+    def test_brackets_are_stored_in_both_orders(self):
+        L = catalog_algebra("heisenberg")
+        assert L.brackets == {(1, 0): {2: K.one()}, (0, 1): {2: -K.one()}}
+
+
 class TestKillingForm:
     def test_sl2_e_values(self):
         data = killing_form(catalog_algebra("sl2_e"))

@@ -90,6 +90,30 @@ class TestRender:
         assert all(a == b for a, b in zip(v.components, again.components))
 
 
+class TestFieldGrammar:
+    """A term of a vector field is a product of scalar factors and exactly
+    one basis token, which may not follow a /."""
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("x*d/dx*y*d/dz", "two basis vectors in one term", 16),
+        ("d/dx*d/dy + d/dz", "two basis vectors in one term", 12),
+        ("d/dx/d/dy", "cannot divide by a basis vector", 12),
+        ("d/dy + x/d/dz", "cannot divide by a basis vector", 16),
+        ("d/dx + x*y", "vector-field term lacks a d/d<coord> factor", 17),
+        ("2*x - d/dy", "vector-field term lacks a d/d<coord> factor", 11),
+    ])
+    def test_term_errors(self, text, message, column):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_field(text, CH, line=4, column=7)
+        assert str(err.value) == f"{message} (line 4, column {column})"
+        assert (err.value.line, err.value.column) == (4, column)
+
+    def test_factors_multiply_left_to_right(self):
+        v = parse_field("-x/2*d/dy/y*3 + - -d/dz", CH)
+        x, y = CH.var("x"), CH.var("y")
+        assert v.components == (CH.zero(), -x / 2 / y * 3, CH.one())
+
+
 @given(exprs())
 def test_parse_render_round_trip(e):
     rendered = render_expr(e)
