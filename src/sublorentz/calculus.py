@@ -36,9 +36,6 @@ class VectorField:
     def __sub__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.chart, tuple(a - b for a, b in zip(self.components, other.components)))
 
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-a for a in self.components))
-
     def scaled(self, f: Expr) -> "VectorField":
         return VectorField(self.chart, tuple(f * a for a in self.components))
 
@@ -80,9 +77,6 @@ class DifferentialForm:
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + other.scaled(self.chart.number(-1))
-
-    def __neg__(self) -> "DifferentialForm":
-        return self.scaled(self.chart.number(-1))
 
     def scaled(self, f: Expr) -> "DifferentialForm":
         return DifferentialForm(self.chart, self.degree, tuple(f * a for a in self.components))

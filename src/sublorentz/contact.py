@@ -1,5 +1,6 @@
 """Contact apparatus of an orthonormal frame: normalized contact form, Reeb
-field, dual coframe, and the degeneracy locus of the distribution.
+field, dual coframe, the degeneracy locus of the distribution, and the
+residuals of its defining identities.
 
 The frame (X1, X2) spans the distribution, X1 timelike and X2 spacelike, with
 the metric fixed to g(X1,X1) = -1, g(X2,X2) = 1, g(X1,X2) = 0.  The contact
@@ -14,8 +15,9 @@ killing dw, with a = dw(B, X2) and b = -dw(B, X1), and the coframe dual to
 So [X2,X1] - X0 = a X1 + b X2: the structure functions c12^1 = a and
 c12^2 = b come with the apparatus.  The Reeb components of the structure
 brackets need no check: w([Xi,X0]) = -dw(Xi,X0) = 0 and w([X2,X1]) = w(B) = 1
-hold by construction, and the ledger's dw(X0,Xi) = 0 and dw(X1,X2) = 1
-entries verify them.
+hold by construction, and the residuals of dw(X0,Xi) = 0 and dw(X1,X2) = 1
+in `apparatus_residuals` verify them.  This module only states residuals;
+`report` decides them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .calculus import (
     one_form,
     wedge,
 )
-from .expr import Chart, Expr, Tri, all_zero, vanishing_loci
+from .expr import Chart, Expr, vanishing_loci
 
 
 @dataclass(frozen=True)
@@ -98,23 +100,23 @@ def build_apparatus(frame: Frame) -> ContactApparatus:
     return ContactApparatus(frame, omega, domega, x0, nu1, nu2, a, b, contact_det, excluded)
 
 
-def apparatus_checks(app: ContactApparatus) -> dict[str, Tri]:
-    """Tri-state ledger of the defining identities of the apparatus.  The
-    pairings <nu_i, X_j> are taken once; the row of nu0 = w holds w(X0),
-    w(X1) and w(X2)."""
+def apparatus_residuals(app: ContactApparatus) -> dict[str, tuple[Expr, ...]]:
+    """The defining identities of the apparatus, each as the residuals that
+    must vanish.  The pairings <nu_i, X_j> are taken once; the row of
+    nu0 = w holds w(X0), w(X1) and w(X2)."""
     fields = app.marked_fields
     x0, x1, x2 = fields
     dw = app.domega
     pairing = [[evaluate(nu, [X]) for X in fields] for nu in app.coframe]
     return {
-        "omega(X1)=0": pairing[0][1].is_zero(),
-        "omega(X2)=0": pairing[0][2].is_zero(),
-        "omega(X0)=1": (pairing[0][0] - 1).is_zero(),
-        "dw(X1,X2)=1": (evaluate(dw, [x1, x2]) - 1).is_zero(),
-        "dw(X0,X1)=0": evaluate(dw, [x0, x1]).is_zero(),
-        "dw(X0,X2)=0": evaluate(dw, [x0, x2]).is_zero(),
-        "<nu_i,X_j>=delta_ij": all_zero(
+        "omega(X1)=0": (pairing[0][1],),
+        "omega(X2)=0": (pairing[0][2],),
+        "omega(X0)=1": (pairing[0][0] - 1,),
+        "dw(X1,X2)=1": (evaluate(dw, [x1, x2]) - 1,),
+        "dw(X0,X1)=0": (evaluate(dw, [x0, x1]),),
+        "dw(X0,X2)=0": (evaluate(dw, [x0, x2]),),
+        "<nu_i,X_j>=delta_ij": tuple(
             pairing[i][j] - (1 if i == j else 0) for i in range(3) for j in range(3)
         ),
-        "dnu0=nu1^nu2": (app.domega - wedge(app.nu1, app.nu2)).is_zero(),
+        "dnu0=nu1^nu2": (dw - wedge(app.nu1, app.nu2)).components,
     }

@@ -222,8 +222,8 @@ def _fold_cosh(f: FracElement) -> FracElement:
     d0 + d1*cosh(u) does not: 1 + 2*sinh(y)^2 - cosh(2*y) is 0 everywhere."""
     coshes = _coshes(f.field)
     numer, denom = f.numer, f.denom
-    if all(numer.degree(c) < 2 and denom.degree(c) < 2 and not _divides(i, denom)
-           for i, c, _ in coshes):
+    if all(numer.degree(i) < 2 and denom.degree(i) < 2 and not _divides(i, denom)
+           for i, _, _ in coshes):
         return f
     relations = [c ** 2 - c2 for _, c, c2 in coshes]
     numer, denom = numer.rem(relations), denom.rem(relations)
@@ -339,12 +339,11 @@ def _diff(f: FracElement, i: int) -> FracElement:
     """The partial derivative of f in the i-th generator.  With g the gcd of
     the denominator and its derivative, d = g*q and d' = g*r, it is
     (n'*q - n*r)/(g*q^2), and only g can share a factor with the numerator."""
-    x = f.field.ring.gens[i]
     n, d = f.numer, f.denom
     if d == 1:
-        return f.field.raw_new(n.diff(x))
-    g, q, r = d.cofactors(d.diff(x))
-    numer = n.diff(x) * q - n * r
+        return f.field.raw_new(n.diff(i))
+    g, q, r = d.cofactors(d.diff(i))
+    numer = n.diff(i) * q - n * r
     if not numer:
         return f.field.zero
     if g != 1:

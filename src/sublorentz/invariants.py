@@ -1,7 +1,7 @@
 """Structure functions and the invariants of a contact sub-Lorentzian
 structure: the trace-free operator h_tilde on the distribution, the scalars
 chi and kappa, hyperbolic frame rotations, dilations, the eta-form closure
-check, null kernel directions, and classification.
+residuals, null kernel directions, and classification.
 
 Both input modes share one code path through a frame context: coordinate
 frames differentiate for real, abstract constant-structure marks have all
@@ -146,14 +146,6 @@ def compute_invariants(sf: StructureFunctions, ctx) -> Invariants:
 # -- eta form and coframe identities -----------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaReport:
-    holds: Tri
-    closure_residuals: tuple[Expr, ...]
-    codifferential_residuals: tuple[Expr, Expr]
-    eta_coefficients: tuple[Expr, Expr, Expr]
-
-
 def _require_h_tilde_zero(ctx) -> Expr:
     inv = ctx.inv
     v = inv.h_tilde_is_zero()
@@ -164,11 +156,11 @@ def _require_h_tilde_zero(ctx) -> Expr:
     return inv.kappa
 
 
-def eta_check(ctx) -> EtaReport:
+def eta_residuals(ctx) -> dict[str, tuple[Expr, ...]]:
     """With h_tilde = 0 (so c := c02^1 = c01^2), build
-    eta = (kappa + c) nu0 + c12^1 nu1 - c12^2 nu2 and verify that its
-    exterior derivative reduces to d(kappa) ^ nu0, together with the two
-    first-order coframe identities that the closure rests on."""
+    eta = (kappa + c) nu0 + c12^1 nu1 - c12^2 nu2: the residuals of
+    d(eta) = d(kappa) ^ nu0, and of the two first-order coframe identities
+    that the closure rests on."""
     sf = ctx.sf
     kappa = _require_h_tilde_zero(ctx)
     c = sf.c021
@@ -177,19 +169,12 @@ def eta_check(ctx) -> EtaReport:
     coeffs = (kappa + c, sf.c121, -sf.c122)
 
     if ctx.mode == "frame":
-        app = ctx.apparatus
-        nu0, nu1, nu2 = app.coframe
-        eta = (
-            nu0.scaled(coeffs[0]) + nu1.scaled(coeffs[1]) + nu2.scaled(coeffs[2])
-        )
-        target = wedge(differential(kappa), nu0)
-        residual_form = exterior_derivative(eta) - target
-        closure = tuple(residual_form.components)
+        nu0, nu1, nu2 = ctx.apparatus.coframe
+        eta = nu0.scaled(coeffs[0]) + nu1.scaled(coeffs[1]) + nu2.scaled(coeffs[2])
+        closure = (exterior_derivative(eta) - wedge(differential(kappa), nu0)).components
     else:
         closure = _constant_two_form(ctx, coeffs)
-
-    holds = all_zero(list(closure) + [r1, r2])
-    return EtaReport(holds, closure, (r1, r2), coeffs)
+    return {"eta_closure": closure, "codifferential_identities": (r1, r2)}
 
 
 def _constant_two_form(ctx: ConstantContext, coeffs) -> tuple[Expr, ...]:

@@ -96,10 +96,6 @@ def jacobi_residuals(L: LieAlgebra) -> list[Expr]:
     return residuals
 
 
-def jacobi_check(L: LieAlgebra) -> Tri:
-    return all_zero(jacobi_residuals(L))
-
-
 # -- Killing form --------------------------------------------------------------
 
 

@@ -3,16 +3,20 @@
 Every symbolic field is a canonically rendered string, every check verdict is
 tri-state (pass / fail / indeterminate), and dictionary order is fixed so that
 JSON output is byte-deterministic for identical inputs.
+
+The modules that verify the paper's identities return residual families: a
+dict from a check's name to the residuals that must all vanish.  Only this
+module decides them, in `_decide`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import builtins as fixtures
 from . import expr as ex
-from .contact import Frame, apparatus_checks, build_apparatus
+from .contact import Frame, apparatus_residuals, build_apparatus
 from .errors import EngineError
 from .expr import Expr, Tri, join_terms, render_expr
 from .invariants import (
@@ -22,25 +26,30 @@ from .invariants import (
     StructureFunctions,
     classify,
     dilate,
-    eta_check,
+    eta_residuals,
     hyperbolic_rotate,
 )
 from .lie_algebra import (
     catalog_algebra,
     catalog_marking,
-    jacobi_check,
+    jacobi_residuals,
     killing_form,
     structure_functions_of_marking,
 )
-from .ode_bridge import build_from_ode, verify_null_bundles
+from .ode_bridge import build_from_ode, null_bundle_residuals
 from .parsing import StructureDefinition, render_field
 from .symmetry import binomial_identity_check, conformal_factor, preserves_distribution
 
 REPORT_VERSION = 1
 
 
-def tri_word(t: Tri) -> str:
-    return {Tri.TRUE: "pass", Tri.FALSE: "fail", Tri.UNKNOWN: "indeterminate"}[t]
+_WORDS = {Tri.TRUE: "pass", Tri.FALSE: "fail", Tri.UNKNOWN: "indeterminate"}
+
+
+def _decide(residuals: Iterable[Expr]) -> str:
+    """The check word of a residual family: pass when every residual is
+    decided zero, fail when one is decided nonzero."""
+    return _WORDS[ex.all_zero(residuals)]
 
 
 def _status(checks: dict[str, str]) -> str:
@@ -52,10 +61,15 @@ def _status(checks: dict[str, str]) -> str:
     return "pass"
 
 
-def _report(command: str, input_block: dict, body: dict, checks: dict[str, str]) -> dict:
-    """The scaffold every report shares: header, body blocks, checks, status."""
+def _report(command: str, input_block: dict, body: dict, residuals: dict,
+            decided: Optional[dict[str, str]] = None) -> dict:
+    """The scaffold every report shares: header, body blocks, checks, status.
+    The checks are the decided residual families, then the words in
+    `decided`."""
     report = {"report_version": REPORT_VERSION, "command": command, "input": input_block}
     report.update(body)
+    checks = {name: _decide(family) for name, family in residuals.items()}
+    checks.update(decided or {})
     report["checks"] = checks
     report["status"] = _status(checks)
     return report
@@ -128,22 +142,16 @@ def _analysis_blocks(ctx) -> dict:
     return blocks
 
 
-def _checks(ctx) -> dict[str, str]:
+def _residuals(ctx) -> dict[str, tuple[Expr, ...]]:
     """Apparatus identities (coordinate frames only), the trace identity, and
     the eta-closure and codifferential identities when h_tilde vanishes
     (skipped otherwise: they are defined only in that case)."""
     sf = ctx.sf
-    checks: dict[str, str] = {}
-    if ctx.mode == "frame":
-        checks = {name: tri_word(v) for name, v in apparatus_checks(ctx.apparatus).items()}
-    checks["trace_identity"] = tri_word((sf.c011 + sf.c022).is_zero())
+    residuals = apparatus_residuals(ctx.apparatus) if ctx.mode == "frame" else {}
+    residuals["trace_identity"] = (sf.c011 + sf.c022,)
     if ctx.inv.h_tilde_is_zero() is Tri.TRUE:
-        report = eta_check(ctx)
-        checks["eta_closure"] = tri_word(ex.all_zero(report.closure_residuals))
-        checks["codifferential_identities"] = tri_word(
-            ex.all_zero(report.codifferential_residuals)
-        )
-    return checks
+        residuals.update(eta_residuals(ctx))
+    return residuals
 
 
 def _symmetry_entries(app, fields) -> list[dict]:
@@ -151,7 +159,7 @@ def _symmetry_entries(app, fields) -> list[dict]:
     for name, Z in fields:
         entry = {"name": name, "field": render_field(Z)}
         pres = preserves_distribution(Z, app)
-        entry["preserves_distribution"] = tri_word(pres)
+        entry["preserves_distribution"] = _WORDS[pres]
         if pres is Tri.TRUE:
             verdict = conformal_factor(Z, app)
             entry["verdict"] = verdict.kind
@@ -159,7 +167,7 @@ def _symmetry_entries(app, fields) -> list[dict]:
                 entry["mu"] = render_expr(verdict.mu)
             if verdict.kind in ("isometry", "conformal"):
                 residuals = [r for n in (2, 3) for r in binomial_identity_check(Z, app, n)]
-                entry["bracket_series_residuals_zero"] = tri_word(ex.all_zero(residuals))
+                entry["bracket_series_residuals_zero"] = _decide(residuals)
         else:
             entry["verdict"] = "neither" if pres is Tri.FALSE else "unknown"
         out.append(entry)
@@ -169,20 +177,21 @@ def _symmetry_entries(app, fields) -> list[dict]:
 # -- reports --------------------------------------------------------------------
 
 
-def _analysis(defn: StructureDefinition) -> tuple[dict, dict[str, str]]:
-    """Body and checks of the full pipeline on a structure definition."""
+def _analysis(defn: StructureDefinition) -> tuple[dict, dict]:
+    """Body and residual families of the full pipeline on a structure
+    definition."""
     ctx = _definition_context(defn)
-    checks = _checks(ctx)
+    residuals = _residuals(ctx)
     body = {"chart": {"coords": list(defn.chart.coords), "params": list(defn.chart.params)}}
     body.update(_analysis_blocks(ctx))
     if defn.symmetry_fields:
         body["symmetry"] = _symmetry_entries(ctx.apparatus, defn.symmetry_fields)
-    return body, checks
+    return body, residuals
 
 
 def analyze_definition(defn: StructureDefinition) -> dict:
-    body, checks = _analysis(defn)
-    return _report("analyze", _input_block(defn), body, checks)
+    body, residuals = _analysis(defn)
+    return _report("analyze", _input_block(defn), body, residuals)
 
 
 def symmetry_report(defn: StructureDefinition) -> dict:
@@ -190,25 +199,26 @@ def symmetry_report(defn: StructureDefinition) -> dict:
         raise EngineError("the symmetry command requires a coordinate frame")
     if not defn.symmetry_fields:
         raise EngineError("the structure file has no [symmetry] section")
-    body, checks = _analysis(defn)
-    for entry in body["symmetry"]:
-        checks[f"symmetry_{entry['name']}_decided"] = (
+    body, residuals = _analysis(defn)
+    decided = {
+        f"symmetry_{entry['name']}_decided":
             "indeterminate" if entry["verdict"] == "unknown" else "pass"
-        )
-    return _report("symmetry", _input_block(defn), body, checks)
+        for entry in body["symmetry"]
+    }
+    return _report("symmetry", _input_block(defn), body, residuals, decided)
 
 
 def classify_report(defn: StructureDefinition) -> dict:
     ctx = _definition_context(defn)
-    checks = _checks(ctx)
     classification = classify(ctx)
+    decided = {}
     if classification.label == "Undecided":
-        checks["classification_decided"] = "indeterminate"
+        decided["classification_decided"] = "indeterminate"
     body = {
         "invariants": _invariants_block(ctx.inv),
         "classification": _classification_block(classification),
     }
-    return _report("classify", _input_block(defn), body, checks)
+    return _report("classify", _input_block(defn), body, _residuals(ctx), decided)
 
 
 def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
@@ -217,13 +227,11 @@ def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
     rotated = hyperbolic_rotate(frame, theta)
     rctx = _frame_context(rotated)
 
-    checks = {f"rotated:{k}": v for k, v in _checks(rctx).items()}
+    residuals = {f"rotated:{k}": v for k, v in _residuals(rctx).items()}
     rinv = rctx.inv
-    checks["kappa_invariant"] = tri_word((rinv.kappa - inv.kappa).is_zero())
-    checks["chi_invariant"] = tri_word((rinv.chi - inv.chi).is_zero())
-    checks["h_tilde_conjugation"] = tri_word(
-        ex.all_zero(_conjugation_residuals(inv, rinv, theta))
-    )
+    residuals["kappa_invariant"] = (rinv.kappa - inv.kappa,)
+    residuals["chi_invariant"] = (rinv.chi - inv.chi,)
+    residuals["h_tilde_conjugation"] = _conjugation_residuals(inv, rinv, theta)
     body = {
         "theta": render_expr(theta),
         "frame": _frame_block(frame),
@@ -231,7 +239,7 @@ def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
         "invariants": _invariants_block(inv),
         "rotated_invariants": _invariants_block(rinv),
     }
-    return _report("rotate", _input_block(defn), body, checks)
+    return _report("rotate", _input_block(defn), body, residuals)
 
 
 def _conjugation_residuals(inv: Invariants, rinv: Invariants, theta: Expr) -> list[Expr]:
@@ -254,29 +262,28 @@ def dilate_report(defn: StructureDefinition, scale: str) -> dict:
     s = chart2.var(scale)
     dctx = _frame_context(dilated)
 
-    checks = {f"dilated:{k}": v for k, v in _checks(dctx).items()}
+    residuals = {f"dilated:{k}": v for k, v in _residuals(dctx).items()}
     dinv = dctx.inv
     # c12' = s c12 but c0j' = s^2 c0j (the Reeb field rescales by s^2), hence
     # kappa' = s^2 kappa while chi' = s^4 chi and h_tilde' = s^2 h_tilde.
     s2 = s * s
-    checks["kappa_scaling_s2"] = tri_word((dinv.kappa - s2 * inv.kappa.lift(chart2)).is_zero())
-    checks["chi_scaling_s4"] = tri_word((dinv.chi - s2 * s2 * inv.chi.lift(chart2)).is_zero())
-    h_resid = [
+    residuals["kappa_scaling_s2"] = (dinv.kappa - s2 * inv.kappa.lift(chart2),)
+    residuals["chi_scaling_s4"] = (dinv.chi - s2 * s2 * inv.chi.lift(chart2),)
+    residuals["h_tilde_scaling_s2"] = tuple(
         dinv.h_tilde[i][j] - s2 * inv.h_tilde[i][j].lift(chart2)
         for i in range(2) for j in range(2)
-    ]
-    checks["h_tilde_scaling_s2"] = tri_word(ex.all_zero(h_resid))
+    )
     body = {
         "scale": scale,
         "invariants": _invariants_block(inv),
         "dilated_invariants": _invariants_block(dinv),
     }
-    return _report("dilate", _input_block(defn), body, checks)
+    return _report("dilate", _input_block(defn), body, residuals)
 
 
 def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
     algebra = catalog_algebra(name, kappa=kappa)
-    checks = {"jacobi": tri_word(jacobi_check(algebra))}
+    residuals = {"jacobi": jacobi_residuals(algebra)}
     killing = killing_form(algebra)
     brackets = {}
     for i, j, vec in algebra.nonzero_brackets():
@@ -309,8 +316,8 @@ def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
     if marking is not None:
         ctx = ConstantContext(structure_functions_of_marking(algebra, marking), algebra.chart)
         body.update(_analysis_blocks(ctx))
-        checks.update(_checks(ctx))
-    return _report("algebra", {"source": f"catalog:{name}", "mode": "algebra"}, body, checks)
+        residuals.update(_residuals(ctx))
+    return _report("algebra", {"source": f"catalog:{name}", "mode": "algebra"}, body, residuals)
 
 
 def catalog_report() -> dict:
@@ -325,9 +332,9 @@ def catalog_report() -> dict:
 
 def ode_report(q: Expr) -> dict:
     structure = build_from_ode(q)
-    checks = {k: tri_word(v) for k, v in verify_null_bundles(structure).items()}
     ctx = _frame_context(structure.frame)
-    checks.update(_checks(ctx))
+    residuals = null_bundle_residuals(structure, ctx.apparatus)
+    residuals.update(_residuals(ctx))
     body = {
         "Q": render_expr(q),
         "one_forms": {
@@ -341,7 +348,7 @@ def ode_report(q: Expr) -> dict:
         },
     }
     body.update(_analysis_blocks(ctx))
-    return _report("ode", {"source": "ode", "mode": "frame"}, body, checks)
+    return _report("ode", {"source": "ode", "mode": "frame"}, body, residuals)
 
 
 # -- output ------------------------------------------------------------------

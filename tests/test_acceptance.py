@@ -25,7 +25,7 @@ from sublorentz.invariants import (
     classify,
     compute_invariants,
     dilate,
-    eta_check,
+    eta_residuals,
     hyperbolic_rotate,
     structure_functions,
 )
@@ -38,11 +38,11 @@ from sublorentz.lie_algebra import (
     dualize_structure_equations,
     exact_inertia,
     isometry_structure_equations,
-    jacobi_check,
+    jacobi_residuals,
     killing_form,
     structure_functions_of_marking,
 )
-from sublorentz.ode_bridge import ODE_CHART, build_from_ode, verify_null_bundles
+from sublorentz.ode_bridge import ODE_CHART, build_from_ode, null_bundle_residuals
 from sublorentz.parsing import parse_expr, parse_field, render_expr
 from sublorentz.symmetry import (
     binomial_identity_check,
@@ -150,7 +150,7 @@ def test_criterion_04a_conformal_dualization_jacobi_inertia():
     L = dualize_structure_equations(KCH, CONFORMAL8_LABELS,
                                     conformal_structure_equations(KCH))
     ok = L.dim == 8
-    ok &= tri_ok(jacobi_check(L))
+    ok &= tri_ok(all_zero(jacobi_residuals(L)))
     data = killing_form(L)
     quoted = _quoted_conformal_killing()
     ok &= exact_inertia(quoted) == data.signature == (5, 3, 0)
@@ -194,7 +194,7 @@ def test_criterion_04b_conformal_killing_quoted_table():
     equations[3][(6, 0)] = KCH.one()
     bent = dualize_structure_equations(KCH, CONFORMAL8_LABELS, equations)
     bent_pairing_ok = tri_ok((killing_form(bent).matrix[0][6] + 7).is_zero())
-    bent_jacobi_false = jacobi_check(bent) is Tri.FALSE
+    bent_jacobi_false = all_zero(jacobi_residuals(bent)) is Tri.FALSE
 
     ok = (table_ok and det_ok and quoted_det_false and only_pairing
           and bent_pairing_ok and bent_jacobi_false)
@@ -430,16 +430,16 @@ def test_criterion_06c_bracket_series_dilation(heisenberg_frame):
 
 def test_criterion_07_flat_identities(heisenberg_frame):
     app = build_apparatus(heisenberg_frame)
-    report = eta_check(CoordinateContext(app))
-    ok = tri_ok(report.holds)
+    family = eta_residuals(CoordinateContext(app))
+    ok = tri_ok(all_zero(r for residuals in family.values() for r in residuals))
 
     sl2 = StructureFunctions(
         c011=KCH.zero(), c012=-KAPPA, c021=-KAPPA,
         c022=KCH.zero(), c121=KCH.zero(), c122=KCH.zero(),
     )
-    report2 = eta_check(ConstantContext(sl2, KCH))
-    ok &= tri_ok(report2.holds)
-    ok &= tri_ok(all_zero(report2.codifferential_residuals))
+    family2 = eta_residuals(ConstantContext(sl2, KCH))
+    ok &= tri_ok(all_zero(r for residuals in family2.values() for r in residuals))
+    ok &= tri_ok(all_zero(family2["codifferential_identities"]))
     assert verdict("criterion 7: eta-form closure and codifferential identities "
                    "on the flat fixtures", bool(ok))
 
@@ -470,9 +470,9 @@ def test_criterion_09_ode_bridge():
              parse_expr("(1+2*x)*exp(u) + (x+x^2)*exp(u)*p", ODE_CHART)]
     for q in cases:
         s = build_from_ode(q)
-        checks = verify_null_bundles(s)
-        assert all(tri_ok(v) for v in checks.values()), render_expr(q)
         ctx = CoordinateContext(build_apparatus(s.frame))
+        checks = null_bundle_residuals(s, ctx.apparatus)
+        assert all(tri_ok(all_zero(v)) for v in checks.values()), render_expr(q)
         inv = ctx.inv
         assert inv.chi is not None and inv.kappa is not None
         classify(ctx)

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -473,6 +475,79 @@ class TestOneComputePerContext:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert (calls["lie_bracket"], calls["evaluate"]) == (brackets, evaluations)
+
+
+    @pytest.mark.parametrize("argv, zero_tests", [
+        (["analyze", "heisenberg"], 40),
+        (["algebra", "sl2_e"], 25),
+        (["ode", "--Q", "0"], 46),
+        (["rotate", "heisenberg", "--theta", "x*y"], 42),
+        (["analyze", "martinet"], 27),
+    ])
+    def test_zero_tests(self, capsys, monkeypatch, argv, zero_tests):
+        """Each residual is decided once, by the report: the five eta
+        residuals, which exist where h_tilde = 0, are not decided twice.
+        Martinet has h_tilde != 0, so it has no eta residuals."""
+        original = expr.Expr.is_zero
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(expr.Expr, "is_zero", counting)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == zero_tests
+
+
+class TestIndeterminateReport:
+    """A classification that no zero test decides: h_tilde's off-diagonal
+    entry holds sinh(y) and cosh(y) in a numerator that no certificate signs,
+    while every apparatus identity is decided.  The report exits 2."""
+
+    FRAME = "[frame]\nX1 = d/dx\nX2 = d/dy + x*(y^2*sinh(y)^2 + 1)*d/dz\n"
+    CHECKS = {
+        "omega(X1)=0": "pass",
+        "omega(X2)=0": "pass",
+        "omega(X0)=1": "pass",
+        "dw(X1,X2)=1": "pass",
+        "dw(X0,X1)=0": "pass",
+        "dw(X0,X2)=0": "pass",
+        "<nu_i,X_j>=delta_ij": "pass",
+        "dnu0=nu1^nu2": "pass",
+        "trace_identity": "pass",
+        "classification_decided": "indeterminate",
+    }
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "undecided.txt"
+        path.write_text(self.FRAME)
+        return str(path)
+
+    def test_text(self, capsys, path):
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2 and err == ""
+        assert "  label: Undecided\n" in out
+        checks = "checks:\n" + "".join(f"  {k}: {v}\n" for k, v in self.CHECKS.items())
+        assert out.endswith(checks + "status: indeterminate\n")
+
+    def test_json(self, capsys, path):
+        code, report, _ = run_json(capsys, "classify", path)
+        assert code == 2
+        assert report["classification"]["label"] == "Undecided"
+        assert list(report["checks"].items()) == list(self.CHECKS.items())
+        assert report["status"] == "indeterminate"
+
+    def test_module_entry_point_exits_2(self, path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", "classify", path],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.endswith("status: indeterminate\n")
 
 
 class TestAtomOutputs:

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from sublorentz.calculus import evaluate, exterior_derivative, wedge
-from sublorentz.contact import Frame, apparatus_checks, build_apparatus
+from sublorentz.contact import Frame, apparatus_residuals, build_apparatus
 from sublorentz.errors import DegenerateFrame
-from sublorentz.expr import Chart, Tri
+from sublorentz.expr import Chart, Tri, all_zero
 from sublorentz.invariants import hyperbolic_rotate
 from sublorentz.parsing import parse_expr, parse_field, render_expr
 
@@ -98,8 +98,8 @@ class TestApparatusInvariants:
             frame = hyperbolic_rotate(request.getfixturevalue("martinet_frame"), exp_("x*y"))
         else:
             frame = request.getfixturevalue(fixture)
-        checks = apparatus_checks(build_apparatus(frame))
-        assert all(v is Tri.TRUE for v in checks.values()), checks
+        checks = apparatus_residuals(build_apparatus(frame))
+        assert all(all_zero(v) is Tri.TRUE for v in checks.values()), checks
 
     def test_reeb_rotation_invariance(self, martinet_frame):
         """The contact form and Reeb field depend only on the structure, not

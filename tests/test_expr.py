@@ -269,6 +269,20 @@ class TestExpOfConstant:
         assert parse_expr(rendered, Chart()) == e
 
 
+class TestConvert:
+    def test_generator_order_flip_keeps_the_denominator_sign(self):
+        """Atoms sort by their text: exp(x) before exp(x*y), exp(x/2) after
+        it.  Adding exp(x/2) rewrites exp(x) as exp(x/2)^2 and flips the order
+        of the generators, so the leading coefficient of the denominator turns
+        negative unless the conversion moves the sign to the numerator."""
+        chart = Chart(("x", "y", "z"))
+        a = parse_expr("1/(exp(x) - exp(x*y))", chart)
+        b = parse_expr("exp(x/2)", chart)
+        back = (a + b) - b
+        assert back == a and hash(back) == hash(a)
+        assert render_expr(back) == "1/(exp(x) - exp(x*y))"
+
+
 class TestLift:
     def test_wider_chart_keeps_value(self):
         wide = CH.with_params("s")

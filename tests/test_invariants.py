@@ -7,7 +7,7 @@ import pytest
 
 from sublorentz.contact import Frame, build_apparatus
 from sublorentz.errors import HTildeNonzero, ThetaInvalid, TraceViolation
-from sublorentz.expr import Chart, Expr, Tri
+from sublorentz.expr import Chart, Expr, Tri, all_zero
 from sublorentz.invariants import (
     ConstantContext,
     CoordinateContext,
@@ -15,7 +15,7 @@ from sublorentz.invariants import (
     classify,
     compute_invariants,
     dilate,
-    eta_check,
+    eta_residuals,
     hyperbolic_rotate,
     null_kernel_bundle,
     rotated_structure_functions,
@@ -110,24 +110,28 @@ class TestInvariants:
             assert (sf.c011 + sf.c022).is_zero() is Tri.TRUE
 
 
+def eta_holds(ctx) -> Tri:
+    return all_zero(r for residuals in eta_residuals(ctx).values() for r in residuals)
+
+
 class TestEtaCheck:
     def test_heisenberg_trivially_holds(self, heisenberg_frame):
         ctx = CoordinateContext(build_apparatus(heisenberg_frame))
-        report = eta_check(ctx)
-        assert report.holds is Tri.TRUE
-        assert all(c.is_zero() is Tri.TRUE for c in report.eta_coefficients)
+        assert eta_holds(ctx) is Tri.TRUE
+        # the coefficients of eta: kappa + c02^1, c12^1 and c12^2
+        coefficients = (ctx.inv.kappa + ctx.sf.c021, ctx.sf.c121, ctx.sf.c122)
+        assert all(c.is_zero() is Tri.TRUE for c in coefficients)
 
     def test_abstract_sl2_holds(self):
         ctx = ConstantContext(SL2_E, KCH)
-        report = eta_check(ctx)
-        assert report.holds is Tri.TRUE
+        assert eta_holds(ctx) is Tri.TRUE
         # kappa + c = kappa - kappa = 0: eta vanishes identically
-        assert report.eta_coefficients[0].is_zero() is Tri.TRUE
+        assert (ctx.inv.kappa + ctx.sf.c021).is_zero() is Tri.TRUE
 
     def test_martinet_rejected(self, martinet_frame):
         ctx = CoordinateContext(build_apparatus(martinet_frame))
         with pytest.raises(HTildeNonzero):
-            eta_check(ctx)
+            eta_residuals(ctx)
 
 
 class TestNullKernel:
