@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateFrame, IndeterminateDomain
-from .expr import Chart, Expr, Tri, all_zero, dot
+from .expr import Chart, Expr, Tri, dot
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class VectorField:
 
     def scaled(self, f: Expr) -> "VectorField":
         return VectorField(self.chart, tuple(f * a for a in self.components))
-
-    def is_zero(self) -> Tri:
-        return all_zero(self.components)
 
     def __call__(self, f: Expr) -> Expr:
         """The directional derivative X(f)."""
@@ -80,9 +77,6 @@ class DifferentialForm:
 
     def scaled(self, f: Expr) -> "DifferentialForm":
         return DifferentialForm(self.chart, self.degree, tuple(f * a for a in self.components))
-
-    def is_zero(self) -> Tri:
-        return all_zero(self.components)
 
 
 def one_form(chart: Chart, a1: Expr, a2: Expr, a3: Expr) -> DifferentialForm:

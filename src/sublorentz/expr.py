@@ -413,9 +413,9 @@ def _derivative(chart: Chart, atom: sp.Expr, coord: str) -> "Expr":
     u = _argument(chart, atom)
     du = u.diff(coord)
     if isinstance(atom, sp.sinh):
-        return du * cosh(u)
+        return du * _atom_value(chart, sp.cosh(atom.args[0]))
     if isinstance(atom, sp.cosh):
-        return du * sinh(u)
+        return du * _atom_value(chart, sp.sinh(atom.args[0]))
     if isinstance(atom, sp.log):
         return du / u
     return du * _atom_value(chart, atom)

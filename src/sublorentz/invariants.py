@@ -3,9 +3,10 @@ structure: the trace-free operator h_tilde on the distribution, the scalars
 chi and kappa, hyperbolic frame rotations, dilations, the eta-form closure
 residuals, null kernel directions, and classification.
 
-Both input modes share one code path through a frame context: coordinate
+Both input modes share one code path through a `FrameContext`: coordinate
 frames differentiate for real, abstract constant-structure marks have all
-directional derivatives equal to zero.
+directional derivatives equal to zero.  The context computes each invariant
+and decides each of its zero tests at most once.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ class Invariants:
     kappa: Expr
     h_bar: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
-    def h_tilde_is_zero(self) -> Tri:
-        return all_zero([e for row in self.h_tilde for e in row])
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -64,17 +62,26 @@ class Classification:
     witness: dict
 
 
-# -- frame contexts -----------------------------------------------------------
+# -- the frame context ----------------------------------------------------------
 
 
-class CoordinateContext:
-    """Frame context backed by an actual coordinate-frame apparatus."""
+class FrameContext:
+    """One structure's apparatus (coordinate frames only), structure
+    functions, invariants, the zero verdicts of h_tilde, chi and kappa, and
+    classification, each computed at most once.
 
-    mode = "frame"
+    `FrameContext(apparatus)` differentiates along a coordinate frame;
+    `FrameContext(sf=..., chart=...)` holds constant structure functions,
+    whose directional derivatives all vanish, and validates their trace."""
 
-    def __init__(self, apparatus: ContactApparatus):
+    def __init__(self, apparatus: Optional[ContactApparatus] = None, *,
+                 sf: Optional[StructureFunctions] = None, chart: Optional[Chart] = None):
         self.apparatus = apparatus
-        self.chart = apparatus.chart
+        self.mode = "algebra" if apparatus is None else "frame"
+        self.chart = chart if apparatus is None else apparatus.chart
+        if apparatus is None:
+            sf.validate_trace()
+            self.sf = sf  # given, so the cached `sf` below never runs
 
     @cached_property
     def sf(self) -> StructureFunctions:
@@ -84,26 +91,26 @@ class CoordinateContext:
     def inv(self) -> Invariants:
         return compute_invariants(self.sf, self)
 
-    def derive(self, i: int, f: Expr) -> Expr:
-        return self.apparatus.marked_fields[i](f)
-
-
-class ConstantContext:
-    """Frame context for an abstract mark with constant structure functions."""
-
-    mode = "algebra"
-
-    def __init__(self, sf: StructureFunctions, chart: Chart):
-        self.sf = sf
-        self.chart = chart
-        sf.validate_trace()
+    @cached_property
+    def h_tilde_zero(self) -> Tri:
+        return all_zero([e for row in self.inv.h_tilde for e in row])
 
     @cached_property
-    def inv(self) -> Invariants:
-        return compute_invariants(self.sf, self)
+    def chi_zero(self) -> Tri:
+        return self.inv.chi.is_zero()
+
+    @cached_property
+    def kappa_zero(self) -> Tri:
+        return self.inv.kappa.is_zero()
+
+    @cached_property
+    def classification(self) -> Classification:
+        return classify(self)
 
     def derive(self, i: int, f: Expr) -> Expr:
-        return self.chart.zero()
+        if self.apparatus is None:
+            return self.chart.zero()
+        return self.apparatus.marked_fields[i](f)
 
 
 # -- structure functions ------------------------------------------------------
@@ -146,17 +153,15 @@ def compute_invariants(sf: StructureFunctions, ctx) -> Invariants:
 # -- eta form and coframe identities -----------------------------------------
 
 
-def _require_h_tilde_zero(ctx) -> Expr:
-    inv = ctx.inv
-    v = inv.h_tilde_is_zero()
-    if v is Tri.FALSE:
+def _require_h_tilde_zero(ctx: FrameContext) -> Expr:
+    if ctx.h_tilde_zero is Tri.FALSE:
         raise HTildeNonzero("h_tilde does not vanish")
-    if v is Tri.UNKNOWN:
+    if ctx.h_tilde_zero is Tri.UNKNOWN:
         raise IndeterminateDomain("cannot decide whether h_tilde vanishes")
-    return inv.kappa
+    return ctx.inv.kappa
 
 
-def eta_residuals(ctx) -> dict[str, tuple[Expr, ...]]:
+def eta_residuals(ctx: FrameContext) -> dict[str, tuple[Expr, ...]]:
     """With h_tilde = 0 (so c := c02^1 = c01^2), build
     eta = (kappa + c) nu0 + c12^1 nu1 - c12^2 nu2: the residuals of
     d(eta) = d(kappa) ^ nu0, and of the two first-order coframe identities
@@ -177,7 +182,7 @@ def eta_residuals(ctx) -> dict[str, tuple[Expr, ...]]:
     return {"eta_closure": closure, "codifferential_identities": (r1, r2)}
 
 
-def _constant_two_form(ctx: ConstantContext, coeffs) -> tuple[Expr, ...]:
+def _constant_two_form(ctx: FrameContext, coeffs) -> tuple[Expr, ...]:
     """d(sum a_i nu_i) for constant a_i, on the basis (nu0^nu1, nu0^nu2, nu1^nu2).
 
     The coframe differentials of the marked structure are
@@ -190,34 +195,6 @@ def _constant_two_form(ctx: ConstantContext, coeffs) -> tuple[Expr, ...]:
     d02 = a1 * sf.c021 + a2 * sf.c022
     d12 = a0 + a1 * sf.c121 + a2 * sf.c122
     return (d01, d02, d12)
-
-
-# -- null kernel direction ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NullKernelResult:
-    direction: Optional[str]  # "X1-X2" | "X1+X2" | None
-    coefficients: Optional[tuple[int, int]]
-    reason: str
-
-
-def null_kernel_bundle(ctx) -> NullKernelResult:
-    inv = ctx.inv
-    chi_zero = inv.chi.is_zero()
-    ht_zero = inv.h_tilde_is_zero()
-    if chi_zero is Tri.UNKNOWN or ht_zero is Tri.UNKNOWN:
-        raise IndeterminateDomain("cannot decide the chi = 0, h_tilde != 0 case")
-    if chi_zero is Tri.FALSE:
-        return NullKernelResult(None, None, "chi does not vanish")
-    if ht_zero is Tri.TRUE:
-        return NullKernelResult(None, None, "h_tilde vanishes")
-    (c011, b), _ = inv.h_tilde
-    if (c011 - b).is_zero() is Tri.TRUE:
-        return NullKernelResult("X1-X2", (1, -1), "c01^1 = (c02^1 - c01^2)/2")
-    if (c011 + b).is_zero() is Tri.TRUE:
-        return NullKernelResult("X1+X2", (1, 1), "c01^1 = -(c02^1 - c01^2)/2")
-    raise IndeterminateDomain("cannot decide the kernel branch")
 
 
 # -- frame transformations ----------------------------------------------------
@@ -247,27 +224,28 @@ def dilate(frame: Frame, scale: str) -> Frame:
 # -- classification -----------------------------------------------------------
 
 
-def classify(ctx) -> Classification:
+def classify(ctx: FrameContext) -> Classification:
+    """The class read off the context's verdicts: h_tilde first, then kappa
+    where h_tilde = 0 and chi where it does not.  Where chi = 0 and
+    h_tilde != 0, the witness is the null direction X1 - X2 or X1 + X2 that
+    h_tilde annihilates."""
     scope = "group" if ctx.mode == "algebra" else "pointwise"
-    inv = ctx.inv
-    ht = inv.h_tilde_is_zero()
-    kz = inv.kappa.is_zero()
-    chiz = inv.chi.is_zero()
-    if ht is Tri.UNKNOWN or (ht is Tri.TRUE and kz is Tri.UNKNOWN):
-        return Classification("Undecided", scope, {})
-    if ht is Tri.TRUE:
-        if kz is Tri.TRUE:
+    if ctx.h_tilde_zero is Tri.TRUE:
+        if ctx.kappa_zero is Tri.UNKNOWN:
+            return Classification("Undecided", scope, {})
+        if ctx.kappa_zero is Tri.TRUE:
             return Classification("Heisenberg", scope, {})
-        return Classification("SL2Cover", scope, {"kappa": inv.kappa})
-    if chiz is Tri.UNKNOWN:
+        return Classification("SL2Cover", scope, {"kappa": ctx.inv.kappa})
+    if ctx.h_tilde_zero is Tri.UNKNOWN or ctx.chi_zero is Tri.UNKNOWN:
         return Classification("Undecided", scope, {})
-    if chiz is Tri.TRUE:
-        kernel = null_kernel_bundle(ctx)
-        return Classification(
-            "NullKernelCase", scope,
-            {"direction": kernel.direction, "coefficients": kernel.coefficients},
-        )
-    return Classification("Generic", scope, {})
+    if ctx.chi_zero is Tri.FALSE:
+        return Classification("Generic", scope, {})
+    (c011, b), _ = ctx.inv.h_tilde
+    for direction, sign in (("X1-X2", -1), ("X1+X2", 1)):
+        if (c011 + sign * b).is_zero() is Tri.TRUE:
+            return Classification(
+                "NullKernelCase", scope, {"direction": direction, "coefficients": (1, sign)})
+    raise IndeterminateDomain("cannot decide the kernel branch")
 
 
 # -- normalizing rotation verification ----------------------------------------
@@ -309,7 +287,7 @@ class ThetaReport:
     normal_form_residuals: tuple[Expr, ...]
 
 
-def verify_normalizing_theta(ctx, theta: Expr) -> ThetaReport:
+def verify_normalizing_theta(ctx: FrameContext, theta: Expr) -> ThetaReport:
     """Check X1(theta) = c12^1, X2(theta) = -c12^2, X0(theta) = kappa + c, and
     that the rotated frame realizes the constant-bracket normal form
     [Y1,X0] = -kappa Y2, [Y2,X0] = -kappa Y1, [Y2,Y1] = X0."""

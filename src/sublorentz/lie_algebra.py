@@ -226,6 +226,7 @@ def structure_functions_of_marking(L: LieAlgebra, marking: tuple[int, int, int])
     """Extract the six structure functions from a marked basis (X1, X2, X0).
 
     Requires [X1,X0], [X2,X0] in span{X1,X2} and [X2,X1] = c X1 + c X2 + X0.
+    The frame context that reads them validates their trace.
     """
     i1, i2, i0 = marking
     for i, j in ((i1, i0), (i2, i0), (i2, i1)):
@@ -236,13 +237,11 @@ def structure_functions_of_marking(L: LieAlgebra, marking: tuple[int, int, int])
     b10, b20, b21 = L.bracket(i1, i0), L.bracket(i2, i0), L.bracket(i2, i1)
     if b21[i0] != L.chart.one():
         raise BracketPatternViolation("[X2, X1] must have Reeb coefficient exactly 1")
-    sf = StructureFunctions(
+    return StructureFunctions(
         c011=b10[i1], c012=b10[i2],
         c021=b20[i1], c022=b20[i2],
         c121=b21[i1], c122=b21[i2],
     )
-    sf.validate_trace()
-    return sf
 
 
 # -- dualization ----------------------------------------------------------------

@@ -20,11 +20,9 @@ from .contact import Frame, apparatus_residuals, build_apparatus
 from .errors import EngineError
 from .expr import Expr, Tri, join_terms, render_expr
 from .invariants import (
-    ConstantContext,
-    CoordinateContext,
+    FrameContext,
     Invariants,
     StructureFunctions,
-    classify,
     dilate,
     eta_residuals,
     hyperbolic_rotate,
@@ -82,8 +80,8 @@ def _input_block(defn: StructureDefinition) -> dict:
 # -- blocks over a frame context ------------------------------------------------
 
 
-def _frame_context(frame: Frame) -> CoordinateContext:
-    return CoordinateContext(build_apparatus(frame))
+def _frame_context(frame: Frame) -> FrameContext:
+    return FrameContext(build_apparatus(frame))
 
 
 def coordinate_frame(defn: StructureDefinition, operation: str) -> Frame:
@@ -93,10 +91,10 @@ def coordinate_frame(defn: StructureDefinition, operation: str) -> Frame:
     return Frame(defn.chart, defn.x1, defn.x2)
 
 
-def _definition_context(defn: StructureDefinition):
+def _definition_context(defn: StructureDefinition) -> FrameContext:
     if defn.mode == "frame":
         return _frame_context(Frame(defn.chart, defn.x1, defn.x2))
-    return ConstantContext(StructureFunctions(**defn.structure_constants), defn.chart)
+    return FrameContext(sf=StructureFunctions(**defn.structure_constants), chart=defn.chart)
 
 
 def _render_matrix(m) -> list[list[str]]:
@@ -122,7 +120,7 @@ def _classification_block(c) -> dict:
     return {"label": c.label, "scope": c.scope, "witness": witness}
 
 
-def _analysis_blocks(ctx) -> dict:
+def _analysis_blocks(ctx: FrameContext) -> dict:
     """Frame and apparatus (coordinate frames only), structure functions,
     invariants and classification."""
     blocks = {}
@@ -138,18 +136,26 @@ def _analysis_blocks(ctx) -> dict:
         }
     blocks["structure_functions"] = {k: render_expr(v) for k, v in ctx.sf.as_dict().items()}
     blocks["invariants"] = _invariants_block(ctx.inv)
-    blocks["classification"] = _classification_block(classify(ctx))
+    blocks["classification"] = _classification_block(ctx.classification)
     return blocks
 
 
-def _residuals(ctx) -> dict[str, tuple[Expr, ...]]:
+def _classification_decided(ctx: FrameContext) -> dict[str, str]:
+    """The decided word of a report that prints a classification: an
+    Undecided one is an indeterminate verdict."""
+    if ctx.classification.label == "Undecided":
+        return {"classification_decided": "indeterminate"}
+    return {}
+
+
+def _residuals(ctx: FrameContext) -> dict[str, tuple[Expr, ...]]:
     """Apparatus identities (coordinate frames only), the trace identity, and
     the eta-closure and codifferential identities when h_tilde vanishes
     (skipped otherwise: they are defined only in that case)."""
     sf = ctx.sf
     residuals = apparatus_residuals(ctx.apparatus) if ctx.mode == "frame" else {}
     residuals["trace_identity"] = (sf.c011 + sf.c022,)
-    if ctx.inv.h_tilde_is_zero() is Tri.TRUE:
+    if ctx.h_tilde_zero is Tri.TRUE:
         residuals.update(eta_residuals(ctx))
     return residuals
 
@@ -177,48 +183,41 @@ def _symmetry_entries(app, fields) -> list[dict]:
 # -- reports --------------------------------------------------------------------
 
 
-def _analysis(defn: StructureDefinition) -> tuple[dict, dict]:
-    """Body and residual families of the full pipeline on a structure
-    definition."""
+def _analysis(defn: StructureDefinition) -> tuple[dict, dict, dict]:
+    """Body, residual families and decided words of the full pipeline on a
+    structure definition."""
     ctx = _definition_context(defn)
     residuals = _residuals(ctx)
     body = {"chart": {"coords": list(defn.chart.coords), "params": list(defn.chart.params)}}
     body.update(_analysis_blocks(ctx))
     if defn.symmetry_fields:
         body["symmetry"] = _symmetry_entries(ctx.apparatus, defn.symmetry_fields)
-    return body, residuals
+    return body, residuals, _classification_decided(ctx)
 
 
 def analyze_definition(defn: StructureDefinition) -> dict:
-    body, residuals = _analysis(defn)
-    return _report("analyze", _input_block(defn), body, residuals)
+    return _report("analyze", _input_block(defn), *_analysis(defn))
 
 
 def symmetry_report(defn: StructureDefinition) -> dict:
-    if defn.mode != "frame":
-        raise EngineError("the symmetry command requires a coordinate frame")
+    coordinate_frame(defn, "the symmetry command")
     if not defn.symmetry_fields:
         raise EngineError("the structure file has no [symmetry] section")
-    body, residuals = _analysis(defn)
-    decided = {
-        f"symmetry_{entry['name']}_decided":
-            "indeterminate" if entry["verdict"] == "unknown" else "pass"
-        for entry in body["symmetry"]
-    }
+    body, residuals, decided = _analysis(defn)
+    for entry in body["symmetry"]:
+        decided[f"symmetry_{entry['name']}_decided"] = (
+            "indeterminate" if entry["verdict"] == "unknown" else "pass")
     return _report("symmetry", _input_block(defn), body, residuals, decided)
 
 
 def classify_report(defn: StructureDefinition) -> dict:
     ctx = _definition_context(defn)
-    classification = classify(ctx)
-    decided = {}
-    if classification.label == "Undecided":
-        decided["classification_decided"] = "indeterminate"
     body = {
         "invariants": _invariants_block(ctx.inv),
-        "classification": _classification_block(classification),
+        "classification": _classification_block(ctx.classification),
     }
-    return _report("classify", _input_block(defn), body, _residuals(ctx), decided)
+    return _report("classify", _input_block(defn), body, _residuals(ctx),
+                   _classification_decided(ctx))
 
 
 def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
@@ -312,12 +311,14 @@ def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
             "signature": list(killing.signature) if killing.signature else None,
         },
     }
-    marking = catalog_marking(name)
+    marking, decided = catalog_marking(name), {}
     if marking is not None:
-        ctx = ConstantContext(structure_functions_of_marking(algebra, marking), algebra.chart)
+        ctx = FrameContext(sf=structure_functions_of_marking(algebra, marking), chart=algebra.chart)
         body.update(_analysis_blocks(ctx))
         residuals.update(_residuals(ctx))
-    return _report("algebra", {"source": f"catalog:{name}", "mode": "algebra"}, body, residuals)
+        decided = _classification_decided(ctx)
+    return _report("algebra", {"source": f"catalog:{name}", "mode": "algebra"}, body, residuals,
+                   decided)
 
 
 def catalog_report() -> dict:
@@ -348,7 +349,8 @@ def ode_report(q: Expr) -> dict:
         },
     }
     body.update(_analysis_blocks(ctx))
-    return _report("ode", {"source": "ode", "mode": "frame"}, body, residuals)
+    return _report("ode", {"source": "ode", "mode": "frame"}, body, residuals,
+                   _classification_decided(ctx))
 
 
 # -- output ------------------------------------------------------------------

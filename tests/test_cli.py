@@ -478,15 +478,18 @@ class TestOneComputePerContext:
 
 
     @pytest.mark.parametrize("argv, zero_tests", [
-        (["analyze", "heisenberg"], 40),
-        (["algebra", "sl2_e"], 25),
-        (["ode", "--Q", "0"], 46),
-        (["rotate", "heisenberg", "--theta", "x*y"], 42),
-        (["analyze", "martinet"], 27),
+        (["analyze", "heisenberg"], 31),
+        (["algebra", "sl2_e"], 15),
+        (["ode", "--Q", "0"], 37),
+        (["rotate", "heisenberg", "--theta", "x*y"], 38),
+        (["analyze", "martinet"], 24),
+        (["classify", "heisenberg"], 31),
     ])
     def test_zero_tests(self, capsys, monkeypatch, argv, zero_tests):
-        """Each residual is decided once, by the report: the five eta
-        residuals, which exist where h_tilde = 0, are not decided twice.
+        """Each residual is decided once, by the report, and each verdict
+        once, by the frame context: the four entries of h_tilde are decided
+        once, not by the classification, the residuals and the eta gate in
+        turn, chi only where h_tilde != 0, and kappa only where h_tilde = 0.
         Martinet has h_tilde != 0, so it has no eta residuals."""
         original = expr.Expr.is_zero
         calls = []
@@ -500,12 +503,33 @@ class TestOneComputePerContext:
         assert code == 0
         assert len(calls) == zero_tests
 
+    def test_rotation_tree_reads(self, capsys, monkeypatch):
+        """The derivative of sinh(u) or cosh(u) takes its partner from the
+        generator itself, not by reading cosh(u) or sinh(u) anew: rotating
+        by x*y reads cosh(x*y) and sinh(x*y) twice each, for the rotation
+        and for the conjugation, and their argument x*y once per atom."""
+        for cached in (expr._argument, expr._atom_value, expr._derivative):
+            cached.cache_clear()
+        original = expr._read
+        calls = []
+
+        def counting(chart, tree):
+            calls.append(tree)
+            return original(chart, tree)
+
+        monkeypatch.setattr(expr, "_read", counting)
+        code, _, _ = run_cli(capsys, "rotate", "heisenberg", "--theta", "x*y")
+        assert code == 0
+        assert len(calls) == 6
+
 
 class TestIndeterminateReport:
     """A classification that no zero test decides: h_tilde's off-diagonal
     entry holds sinh(y) and cosh(y) in a numerator that no certificate signs,
-    while every apparatus identity is decided.  The report exits 2."""
+    while every apparatus identity is decided.  Every report that prints the
+    classification exits 2: `classify` here, `analyze` in the subclass."""
 
+    COMMAND = "classify"
     FRAME = "[frame]\nX1 = d/dx\nX2 = d/dy + x*(y^2*sinh(y)^2 + 1)*d/dz\n"
     CHECKS = {
         "omega(X1)=0": "pass",
@@ -527,14 +551,14 @@ class TestIndeterminateReport:
         return str(path)
 
     def test_text(self, capsys, path):
-        code, out, err = run_cli(capsys, "classify", path)
+        code, out, err = run_cli(capsys, self.COMMAND, path)
         assert code == 2 and err == ""
         assert "  label: Undecided\n" in out
         checks = "checks:\n" + "".join(f"  {k}: {v}\n" for k, v in self.CHECKS.items())
         assert out.endswith(checks + "status: indeterminate\n")
 
     def test_json(self, capsys, path):
-        code, report, _ = run_json(capsys, "classify", path)
+        code, report, _ = run_json(capsys, self.COMMAND, path)
         assert code == 2
         assert report["classification"]["label"] == "Undecided"
         assert list(report["checks"].items()) == list(self.CHECKS.items())
@@ -544,10 +568,24 @@ class TestIndeterminateReport:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", "classify", path],
+        proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", self.COMMAND, path],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout.endswith("status: indeterminate\n")
+
+
+class TestIndeterminateAnalyzeReport(TestIndeterminateReport):
+    COMMAND = "analyze"
+
+
+def test_undecided_classification_in_symmetry_and_ode(capsys, tmp_path):
+    path = tmp_path / "undecided.txt"
+    path.write_text(TestIndeterminateReport.FRAME + "\n[symmetry]\nZ = d/dz\n")
+    for argv in (["symmetry", str(path)], ["ode", "--Q", "x*(u^2*sinh(u)^2 + 1)"]):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 2 and report["classification"]["label"] == "Undecided"
+        assert report["checks"]["classification_decided"] == "indeterminate"
+        assert report["status"] == "indeterminate"
 
 
 class TestAtomOutputs:

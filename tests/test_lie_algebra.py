@@ -7,7 +7,7 @@ import pytest
 
 from sublorentz.errors import BracketPatternViolation, UnknownCatalogName
 from sublorentz.expr import Chart, Tri, all_zero
-from sublorentz.invariants import compute_invariants, ConstantContext
+from sublorentz.invariants import FrameContext, compute_invariants
 from sublorentz.lie_algebra import (
     PARAM_CHART,
     ad_invariance_residuals,
@@ -150,25 +150,25 @@ class TestConformal8:
                 assert (vec[k] - target).is_zero() is Tri.TRUE
 
 
-def marked_invariants(name):
+def marked_context(name):
     L = catalog_algebra(name)
-    return ConstantContext(structure_functions_of_marking(L, catalog_marking(name)), L.chart).inv
+    return FrameContext(sf=structure_functions_of_marking(L, catalog_marking(name)), chart=L.chart)
 
 
 class TestConstantModeInvariants:
     def test_heisenberg_mark(self):
-        inv = marked_invariants("heisenberg")
-        assert inv.h_tilde_is_zero() is Tri.TRUE
-        assert inv.chi.is_zero() is Tri.TRUE
-        assert inv.kappa.is_zero() is Tri.TRUE
+        ctx = marked_context("heisenberg")
+        assert ctx.h_tilde_zero is Tri.TRUE
+        assert ctx.chi_zero is Tri.TRUE
+        assert ctx.kappa_zero is Tri.TRUE
 
     def test_sl2_e_mark_recovers_kappa(self):
-        inv = marked_invariants("sl2_e")
-        assert inv.h_tilde_is_zero() is Tri.TRUE
-        assert inv.kappa == KAPPA
+        ctx = marked_context("sl2_e")
+        assert ctx.h_tilde_zero is Tri.TRUE
+        assert ctx.inv.kappa == KAPPA
 
     def test_sl2_n_mark(self):
-        inv = marked_invariants("sl2_n")
+        inv = marked_context("sl2_n").inv
         assert inv.h_tilde[0][0] == KAPPA
         assert inv.h_tilde[1][1] == -KAPPA
         assert inv.chi == -(KAPPA ** 2)
@@ -180,11 +180,10 @@ class TestConstantModeInvariants:
 
     def test_agrees_with_coordinate_pipeline(self, heisenberg_frame):
         from sublorentz.contact import build_apparatus
-        from sublorentz.invariants import CoordinateContext
 
-        ctx = CoordinateContext(build_apparatus(heisenberg_frame))
+        ctx = FrameContext(build_apparatus(heisenberg_frame))
         inv_coord = compute_invariants(ctx.sf, ctx)
-        inv_const = marked_invariants("heisenberg")
+        inv_const = marked_context("heisenberg").inv
         assert inv_coord.chi.is_zero() is Tri.TRUE and inv_const.chi.is_zero() is Tri.TRUE
         assert inv_coord.kappa.is_zero() is Tri.TRUE and inv_const.kappa.is_zero() is Tri.TRUE
 

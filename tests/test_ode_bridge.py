@@ -8,7 +8,7 @@ from sublorentz import expr as ex
 from sublorentz.calculus import evaluate
 from sublorentz.contact import build_apparatus
 from sublorentz.expr import Tri, all_zero
-from sublorentz.invariants import CoordinateContext, classify, compute_invariants
+from sublorentz.invariants import FrameContext, classify, compute_invariants
 from sublorentz.ode_bridge import (
     ODE_CHART,
     build_from_ode,
@@ -84,10 +84,10 @@ class TestInvariantsPipeline:
         the frame is flat ([X2,X1] = -d/du/2 = X0 exactly, all other brackets
         vanish), so every structure function and invariant is zero."""
         s = build_from_ode(ODE_CHART.zero())
-        ctx = CoordinateContext(build_apparatus(s.frame))
+        ctx = FrameContext(build_apparatus(s.frame))
         assert all(v.is_zero() is Tri.TRUE for v in ctx.sf.as_dict().values())
         inv = compute_invariants(ctx.sf, ctx)
-        assert inv.h_tilde_is_zero() is Tri.TRUE
+        assert ctx.h_tilde_zero is Tri.TRUE
         assert render_expr(inv.chi) == "0"
         assert render_expr(inv.kappa) == "0"
         got = classify(ctx)
@@ -96,7 +96,7 @@ class TestInvariantsPipeline:
 
     def test_rigid_example_completes(self):
         s = build_from_ode(q_expr(RIGID_Q))
-        ctx = CoordinateContext(build_apparatus(s.frame))
+        ctx = FrameContext(build_apparatus(s.frame))
         inv = compute_invariants(ctx.sf, ctx)
         assert inv.kappa is not None
         got = classify(ctx)
@@ -104,6 +104,6 @@ class TestInvariantsPipeline:
 
     def test_xp_example_completes(self):
         s = build_from_ode(q_expr("x*p"))
-        ctx = CoordinateContext(build_apparatus(s.frame))
+        ctx = FrameContext(build_apparatus(s.frame))
         inv = compute_invariants(ctx.sf, ctx)
         assert inv.chi is not None and inv.kappa is not None

@@ -8,7 +8,7 @@ from sublorentz.calculus import lie_bracket
 from sublorentz.contact import build_apparatus
 from sublorentz.errors import DistributionNotPreserved, UnknownSymbol
 from sublorentz.expr import Chart, Tri, all_zero
-from sublorentz.invariants import CoordinateContext, compute_invariants
+from sublorentz.invariants import FrameContext, compute_invariants
 from sublorentz.parsing import parse_expr, parse_field, render_expr
 from sublorentz.symmetry import (
     binomial_identity_check,
@@ -58,7 +58,7 @@ class TestRestrictedLieDerivative:
             ["0", "-1/y^2"],
             ["-1/y^2", "0"],
         ]
-        ctx = CoordinateContext(app)
+        ctx = FrameContext(app)
         inv = compute_invariants(ctx.sf, ctx)
         resid = [L[i][j] - 2 * inv.h_bar[i][j] for i in range(2) for j in range(2)]
         assert all_zero(resid) is Tri.TRUE
@@ -78,7 +78,7 @@ class TestRestrictedLieDerivative:
         """Bracket-level derivative along the Reeb field equals the
         structure-function route on every fixture."""
         app = build_apparatus(request.getfixturevalue(fixture))
-        ctx = CoordinateContext(app)
+        ctx = FrameContext(app)
         direct = restricted_lie_derivative(app.x0, app)
         via_sf = reeb_lie_derivative(ctx.sf, app.chart)
         resid = [direct[i][j] - via_sf[i][j] for i in range(2) for j in range(2)]
@@ -118,10 +118,9 @@ class TestConformalFactor:
     @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame"])
     def test_reeb_isometry_iff_h_tilde_zero(self, fixture, request):
         app = build_apparatus(request.getfixturevalue(fixture))
-        ctx = CoordinateContext(app)
-        inv = compute_invariants(ctx.sf, ctx)
+        ctx = FrameContext(app)
         verdict = conformal_factor(app.x0, app)
-        assert (verdict.kind == "isometry") == (inv.h_tilde_is_zero() is Tri.TRUE)
+        assert (verdict.kind == "isometry") == (ctx.h_tilde_zero is Tri.TRUE)
 
 
 class TestBracketSeriesIdentity:
@@ -198,12 +197,12 @@ class TestFrameMomenta:
 class TestVerticalFormResidual:
     def test_heisenberg(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        ctx = CoordinateContext(app)
+        ctx = FrameContext(app)
         assert vertical_form_residual(app, ctx.sf).is_zero() is Tri.TRUE
 
     def test_martinet(self, martinet_frame):
         app = build_apparatus(martinet_frame)
-        ctx = CoordinateContext(app)
+        ctx = FrameContext(app)
         assert vertical_form_residual(app, ctx.sf).is_zero() is Tri.TRUE
 
     def test_random_polynomial_frames(self):
@@ -211,5 +210,5 @@ class TestVerticalFormResidual:
         for _ in range(5):
             frame = random_frame(rng, CH)
             app = build_apparatus(frame)
-            ctx = CoordinateContext(app)
+            ctx = FrameContext(app)
             assert vertical_form_residual(app, ctx.sf).is_zero() is Tri.TRUE
