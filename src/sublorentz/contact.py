@@ -8,33 +8,48 @@ form is normalized by dw(X1, X2) = w([X2, X1]) = 1; since w annihilates the
 frame, this is the purely algebraic condition <w, [X2,X1]> = 1.  So the whole
 apparatus comes from one exact inverse: the columns of the inverse of the
 matrix with rows X1, X2, B = [X2,X1] are the coframe (mu1, mu2, w) dual to
-(X1, X2, B).  The Reeb field is the unique combination X0 = B - a X1 - b X2
-killing dw, with a = dw(B, X2) and b = -dw(B, X1), and the coframe dual to
-(X0, X1, X2) is (w, mu1 + a w, mu2 + b w).
+(X1, X2, B).  Since w(Xi) = 0 and w(B) = 1 are constant,
+dw(B, Xi) = -w([B,Xi]) = w([Xi,B]).  The Reeb field is the unique
+combination X0 = B - a X1 - b X2 killing dw, with a = dw(B, X2) = w([X2,B])
+and b = -dw(B, X1) = -w([X1,B]), read off the brackets [X1,B] and [X2,B],
+which for a polynomial frame are polynomial fields.  The coframe dual to
+(X0, X1, X2) is (w, nu1, nu2) with nu1 = mu1 + a w and nu2 = mu2 + b w.
 
 So [X2,X1] - X0 = a X1 + b X2: the structure functions c12^1 = a and
-c12^2 = b come with the apparatus.  The Reeb components of the structure
-brackets need no check: w([Xi,X0]) = -dw(Xi,X0) = 0 and w([X2,X1]) = w(B) = 1
-hold by construction, and the residuals of dw(X0,Xi) = 0 and dw(X1,X2) = 1
-in `apparatus_residuals` verify them.  This module only states residuals;
-`report` decides them.
+c12^2 = b come with the apparatus.  The others need no bracket with the
+rational Reeb field.  Write c = c12^i, so nu_i = mu_i + c w.  Since
+nu_i(Xj) = delta_ij and nu_i(X0) = 0 are constant,
+c0j^i = nu_i([Xj,X0]) = -dnu_i(Xj,X0).  With w(X0) = 1, w(Xj) = 0 and
+dw(Xj,X0) = 0, d(c w)(Xj,X0) = Xj(c), so dnu_i(Xj,X0) = dmu_i(Xj,X0) + Xj(c).
+mu_i(Xj) is constant, mu_i(X0) = -c, and mu_i vanishes on B, so on
+[Xj,Xk]; with X0 = B - a X1 - b X2 that gives
+mu_i([Xj,X0]) = mu_i([Xj,B]) - Xj(c), and
+dmu_i(Xj,X0) = Xj(mu_i(X0)) - mu_i([Xj,X0]) = -mu_i([Xj,B]).  Hence
+c0j^i = mu_i([Xj,B]) - Xj(c12^i), one `dot` per function
+(`invariants.structure_functions`).
+
+The Reeb components of the structure brackets need no check:
+w([Xi,X0]) = -dw(Xi,X0) = 0 and w([X2,X1]) = w(B) = 1 hold by construction,
+and the residuals of dw(X0,Xi) = 0 and dw(X1,X2) = 1 in `apparatus_residuals`,
+the one place that takes dw, verify them.  This module only states
+residuals, as unreduced `Residual`s; `report` decides them.  The excluded
+loci are factored by `excluded_loci`, which only the report block that
+prints them calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .calculus import (
     DifferentialForm,
     VectorField,
     evaluate,
-    exterior_derivative,
     invert3,
     lie_bracket,
     one_form,
-    wedge,
 )
-from .expr import Chart, Expr, vanishing_loci
+from .expr import Chart, Expr, Residual, dot, vanishing_loci
 
 
 @dataclass(frozen=True)
@@ -54,14 +69,16 @@ class Frame:
 class ContactApparatus:
     frame: Frame
     omega: DifferentialForm
-    domega: DifferentialForm
+    mu1: DifferentialForm  # mu1, mu2, w: the coframe dual to (X1, X2, [X2,X1])
+    mu2: DifferentialForm
     x0: VectorField
     nu1: DifferentialForm
     nu2: DifferentialForm
-    a: Expr  # dw([X2,X1], X2), the X1 coefficient of [X2,X1] - X0
-    b: Expr  # -dw([X2,X1], X1), its X2 coefficient
+    a: Expr  # w([X2,B]), the X1 coefficient of [X2,X1] - X0
+    b: Expr  # -w([X1,B]), its X2 coefficient
+    brackets: tuple[VectorField, VectorField]  # [X1,B] and [X2,B], B = [X2,X1]
     contact_det: Expr
-    excluded: tuple[Expr, ...]
+    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def chart(self) -> Chart:
@@ -80,6 +97,14 @@ class ContactApparatus:
         """(X0, X1, X2) in coframe order."""
         return (self.x0, self.frame.x1, self.frame.x2)
 
+    def gradient(self, f: Expr) -> tuple[Expr, Expr, Expr]:
+        """The partial derivatives of f, taken once per value: the structure
+        functions and kappa both differentiate a and b."""
+        grad = self._partials.get(f)
+        if grad is None:
+            grad = self._partials[f] = tuple(f.diff(c) for c in self.chart.coords)
+        return grad
+
 
 def build_apparatus(frame: Frame) -> ContactApparatus:
     chart = frame.chart
@@ -87,36 +112,66 @@ def build_apparatus(frame: Frame) -> ContactApparatus:
     bracket = lie_bracket(x2, x1)
     det, inv = invert3([x1.components, x2.components, bracket.components])
     mu1, mu2, omega = (one_form(chart, *(row[k] for row in inv)) for k in range(3))
-    domega = exterior_derivative(omega)
-    a = evaluate(domega, [bracket, x2])
-    b = -evaluate(domega, [bracket, x1])
-    x0 = bracket - x1.scaled(a) - x2.scaled(b)
-    nu1 = mu1 + omega.scaled(a)
-    nu2 = mu2 + omega.scaled(b)
+    brackets = (lie_bracket(x1, bracket), lie_bracket(x2, bracket))
+    a = evaluate(omega, [brackets[1]])
+    b = -evaluate(omega, [brackets[0]])
+    one = chart.one()
+
+    def combination(terms) -> tuple[Expr, Expr, Expr]:
+        """The components of the sum of c*v over the (c, v) of `terms`, each
+        reduced once."""
+        return tuple(dot([(c, v.components[k]) for c, v in terms]) for k in range(3))
+
+    x0 = VectorField(chart, combination([(one, bracket), (-a, x1), (-b, x2)]))
+    nu1 = one_form(chart, *combination([(one, mu1), (a, omega)]))
+    nu2 = one_form(chart, *combination([(one, mu2), (b, omega)]))
     # det[X1 | X2 | [X1,X2]]; its zero set is where the contact condition fails.
-    contact_det = -det
-    components = omega.components + x0.components + nu1.components + nu2.components
-    excluded = vanishing_loci(chart, [contact_det] + [c.denominator() for c in components])
-    return ContactApparatus(frame, omega, domega, x0, nu1, nu2, a, b, contact_det, excluded)
+    return ContactApparatus(frame, omega, mu1, mu2, x0, nu1, nu2, a, b, brackets, -det)
 
 
-def apparatus_residuals(app: ContactApparatus) -> dict[str, tuple[Expr, ...]]:
+def excluded_loci(app: ContactApparatus) -> tuple[Expr, ...]:
+    """The irreducible factors of the contact determinant and of the
+    denominators of w, X0, nu1 and nu2: where the apparatus is undefined."""
+    components = app.omega.components + app.x0.components + app.nu1.components + app.nu2.components
+    return vanishing_loci(app.chart, [app.contact_det] + [c.denominator() for c in components])
+
+
+def _dw(partials, X: VectorField, Y: VectorField) -> list[tuple[Expr, ...]]:
+    """dw(X, Y) as products: sum over i != j of d_i w_j (X_i Y_j - X_j Y_i)."""
+    x, y = X.components, Y.components
+    return [term for (i, j), d in partials.items()
+            for term in ((d, x[i], y[j]), (-d, x[j], y[i]))]
+
+
+def apparatus_residuals(app: ContactApparatus) -> dict[str, tuple[Residual, ...]]:
     """The defining identities of the apparatus, each as the residuals that
-    must vanish.  The pairings <nu_i, X_j> are taken once; the row of
-    nu0 = w holds w(X0), w(X1) and w(X2)."""
+    must vanish, kept unreduced.  dw enters through the partials d_i w_j with
+    i != j."""
+    chart = app.chart
     fields = app.marked_fields
     x0, x1, x2 = fields
-    dw = app.domega
-    pairing = [[evaluate(nu, [X]) for X in fields] for nu in app.coframe]
+    coords = chart.coords
+    partials = {(i, j): app.omega.components[j].diff(coords[i])
+                for i in range(3) for j in range(3) if i != j}
+
+    def pairing(nu: DifferentialForm, X: VectorField, constant=0) -> Residual:
+        return Residual(chart, zip(nu.components, X.components), constant)
+
+    nu1, nu2 = app.nu1.components, app.nu2.components
     return {
-        "omega(X1)=0": (pairing[0][1],),
-        "omega(X2)=0": (pairing[0][2],),
-        "omega(X0)=1": (pairing[0][0] - 1,),
-        "dw(X1,X2)=1": (evaluate(dw, [x1, x2]) - 1,),
-        "dw(X0,X1)=0": (evaluate(dw, [x0, x1]),),
-        "dw(X0,X2)=0": (evaluate(dw, [x0, x2]),),
+        "omega(X1)=0": (pairing(app.omega, x1),),
+        "omega(X2)=0": (pairing(app.omega, x2),),
+        "omega(X0)=1": (pairing(app.omega, x0, -1),),
+        "dw(X1,X2)=1": (Residual(chart, _dw(partials, x1, x2), -1),),
+        "dw(X0,X1)=0": (Residual(chart, _dw(partials, x0, x1)),),
+        "dw(X0,X2)=0": (Residual(chart, _dw(partials, x0, x2)),),
         "<nu_i,X_j>=delta_ij": tuple(
-            pairing[i][j] - (1 if i == j else 0) for i in range(3) for j in range(3)
+            pairing(nu, X, -1 if i == j else 0)
+            for i, nu in enumerate(app.coframe) for j, X in enumerate(fields)
         ),
-        "dnu0=nu1^nu2": (dw - wedge(app.nu1, app.nu2)).components,
+        "dnu0=nu1^nu2": tuple(
+            Residual(chart, [(partials[i, j],), (-partials[j, i],),
+                             (-nu1[i], nu2[j]), (nu1[j], nu2[i])])
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        ),
     }

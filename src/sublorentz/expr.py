@@ -27,6 +27,15 @@ the fold rewrites cosh(u)^2 before the gcd sees it, so in a field with a
 cosh `dot` adds the folded products one at a time, as a running sum of
 `Expr` products does.
 
+A check needs a verdict, not a value.  A `Residual` is a sum of products
+that is never reduced: its zero test reads the numerator that `dot` would
+cancel, the sum over the product of the distinct denominators.  The sum is
+zero where that numerator is the zero polynomial, or, with a cosh, a
+multiple of cosh(u)^2 - 1 - sinh(u)^2; without atoms it is nonzero
+otherwise, and no gcd is taken.  With atoms a nonzero numerator proves
+nothing (sinh(2*x) and sinh(x) are generators with no relation between
+them), so the reduced value's test, with its certificates, decides.
+
 A value prints from its field's terms (`render_expr`): the numerator over the
 denominator, each a sum of terms with the chart's names in chart order and
 then the atoms that polynomial holds, sorted by their text.  An atom's
@@ -577,23 +586,26 @@ class Expr:
         return Expr(self.chart, self.sym.xreplace(mapping))
 
 
-def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
-    """The sum of the products a*b over the (a, b) of `pairs`, reduced once:
-    the products are summed unreduced, over one denominator per distinct
-    denominator, and the total is cancelled once.  In a field with a cosh
-    the folded products are added one at a time, because where the fold
-    runs shows in the result."""
-    pairs = [(a, a._coerce(b)) for a, b in pairs]
-    chart = pairs[0][0].chart
-    field = _union(chart, *(e._frac.field for pair in pairs for e in pair))
-    if _coshes(field):
-        return sum((a * b for a, b in pairs), chart.zero())
+def _field_of_products(chart: Chart, products) -> FracField:
+    """The field where every factor of `products` meets."""
+    return _union(chart, *(e._frac.field for product in products for e in product))
+
+
+def _unreduced_sum(field: FracField, products) -> tuple:
+    """(numerator, denominator) of the sum of the products of the Expr tuples
+    in `products`, as elements of field's ring: a product with a zero factor
+    is skipped, the numerators over one denominator are added, each distinct
+    denominator is multiplied in once, and nothing is cancelled."""
     groups = []  # [denominator, sum of the numerators over it]
-    for a, b in pairs:
-        f, g = _convert(a._frac, field), _convert(b._frac, field)
-        if not f or not g:
+    for product in products:
+        if not all(e._frac for e in product):
             continue
-        numer, denom = f.numer * g.numer, f.denom * g.denom
+        factors = iter(product)
+        f = _convert(next(factors)._frac, field)
+        numer, denom = f.numer, f.denom
+        for e in factors:
+            f = _convert(e._frac, field)
+            numer, denom = numer * f.numer, denom * f.denom
         for group in groups:
             if group[0] == denom:
                 group[1] += numer
@@ -601,11 +613,64 @@ def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
         else:
             groups.append([denom, numer])
     if not groups:
-        return chart.zero()
+        return field.ring.zero, field.ring.one
     (denom, numer), *rest = groups
     for d, n in rest:
         numer, denom = numer * d + n * denom, denom * d
-    return Expr(chart, _reduce(field, numer, denom))
+    return numer, denom
+
+
+def _reduced_sum(chart: Chart, products) -> Expr:
+    """The sum of the products, reduced once.  In a field with a cosh the
+    folded products are added one at a time, because where the fold runs
+    shows in the result."""
+    field = _field_of_products(chart, products)
+    if _coshes(field):
+        return sum((functools.reduce(operator.mul, p) for p in products), chart.zero())
+    return Expr(chart, _reduce(field, *_unreduced_sum(field, products)))
+
+
+def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
+    """The sum of the products a*b over the (a, b) of `pairs`, reduced once:
+    the products are summed unreduced, over one denominator per distinct
+    denominator, and the total is cancelled once."""
+    pairs = [(a, a._coerce(b)) for a, b in pairs]
+    return _reduced_sum(pairs[0][0].chart, pairs)
+
+
+class Residual:
+    """A value that a check needs to be zero: a sum of products of Exprs plus
+    a rational constant, kept unreduced and decided as the module docstring
+    describes."""
+
+    __slots__ = ("chart", "products")
+
+    def __init__(self, chart: Chart, products: Iterable, constant: NumberLike = 0):
+        products = [tuple(p) for p in products]
+        if constant:
+            products.append((chart.number(constant),))
+        self.chart = chart
+        self.products = products
+
+    def is_zero(self) -> Tri:
+        """TRUE when the unreduced numerator is the zero polynomial, or, in a
+        field with a cosh, is zero modulo cosh(u)^2 - 1 - sinh(u)^2.  FALSE
+        when it is not and the field has no atoms.  Anything else is the
+        verdict of the reduced value, the only path with certificates."""
+        field = _field_of_products(self.chart, self.products)
+        numer, _ = _unreduced_sum(field, self.products)
+        coshes = _coshes(field)
+        if coshes and numer:
+            numer = numer.rem([c ** 2 - c2 for _, c, c2 in coshes])
+        if not numer:
+            return Tri.TRUE
+        if not _atoms(field):
+            return Tri.FALSE
+        return self.value().is_zero()
+
+    def value(self) -> Expr:
+        """The sum, reduced."""
+        return _reduced_sum(self.chart, self.products)
 
 
 def _nonzero_certificate(chart: Chart, field: FracField, poly) -> bool:
@@ -712,18 +777,32 @@ def vanishing_loci(chart: Chart, exprs) -> tuple[Expr, ...]:
     """Irreducible non-constant factors of the numerators and denominators of
     `exprs`, whose zero sets were excluded along the way, each once up to sign.
     1 + sinh(u)^2, which a cosh leaves below, vanishes nowhere and is left out.
-    They come in the order of sympy's `default_sort_key` of their trees,
-    computed over an unevaluated sum (`_sort_key`)."""
+    Each polynomial is first divided by the factors already found in its
+    field, and only a non-constant remainder is factored: the first value
+    (the contact determinant) holds most of them.  They come in the order of
+    sympy's `default_sort_key` of their trees, computed over an unevaluated
+    sum (`_sort_key`)."""
     seen: list[Expr] = []
     done: list[Expr] = []
+    found: dict = {}  # field -> the irreducible polynomials found in it
     for e in exprs:
         if e in done:  # denominators repeat; factor each value once
             continue
         done.append(e)
         f = e._frac
         units = _units(f.field)
+        known = found.setdefault(f.field, [])
         for poly in (f.numer, f.denom):
+            for fac in known:
+                while not poly.is_ground:
+                    quotient, rest = divmod(poly, fac)
+                    if rest:
+                        break
+                    poly = quotient
+            if poly.is_ground:
+                continue
             for fac, _mult in poly.factor_list()[1]:
+                known.append(fac)
                 if fac in units or -fac in units:
                     continue
                 fac = Expr(chart, f.field.new(fac))

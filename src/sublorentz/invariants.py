@@ -6,7 +6,11 @@ residuals, null kernel directions, and classification.
 Both input modes share one code path through a `FrameContext`: coordinate
 frames differentiate for real, abstract constant-structure marks have all
 directional derivatives equal to zero.  The context computes each invariant
-and decides each of its zero tests at most once.
+and decides each of its zero tests at most once.  A coordinate frame's
+structure functions are read off the brackets [Xj,[X2,X1]] that the
+apparatus keeps, never off a bracket with the Reeb field (`contact` has the
+derivation).  The identities this module verifies are stated as unreduced
+`Residual`s.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from functools import cached_property
 from typing import Optional
 
 from . import expr as ex
-from .calculus import VectorField, differential, evaluate, exterior_derivative, lie_bracket, wedge
+from .calculus import VectorField, differential, exterior_derivative, one_form, wedge
+from .calculus import lie_bracket  # noqa: F401  (perfbench/test_layers.py wraps this binding)
 from .contact import ContactApparatus, Frame, build_apparatus
 from .errors import HTildeNonzero, IndeterminateDomain, ThetaInvalid, TraceViolation
-from .expr import Chart, Expr, Tri, all_zero
+from .expr import Chart, Expr, Residual, Tri, all_zero, dot
 
 #: metric of the orthonormal frame on the distribution: g = diag(-1, +1)
 METRIC_DIAG = (-1, 1)
@@ -108,25 +113,32 @@ class FrameContext:
         return classify(self)
 
     def derive(self, i: int, f: Expr) -> Expr:
+        """The i-th marked field's derivative of f, from the apparatus's
+        partials of f."""
         if self.apparatus is None:
             return self.chart.zero()
-        return self.apparatus.marked_fields[i](f)
+        field = self.apparatus.marked_fields[i]
+        return dot(zip(field.components, self.apparatus.gradient(f)))
 
 
 # -- structure functions ------------------------------------------------------
 
 
 def structure_functions(app: ContactApparatus) -> StructureFunctions:
-    """[X1,X0] and [X2,X0] paired with nu1 and nu2; the coefficients of
-    [X2,X1] - X0 are the apparatus's a and b (see `contact`)."""
-    x0, x1, x2 = app.marked_fields
+    """c0j^i = mu_i([Xj,B]) - Xj(c12^i) with B = [X2,X1], one `dot` each, and
+    c12^1 = a, c12^2 = b from the apparatus (the derivation is in `contact`):
+    no bracket with the Reeb field X0."""
+    x1, x2 = app.frame.fields
+    mus = (app.mu1.components, app.mu2.components)
+    grads = (app.gradient(app.a), app.gradient(app.b))
 
-    def expand(bracket: VectorField) -> tuple[Expr, Expr]:
-        return evaluate(app.nu1, [bracket]), evaluate(app.nu2, [bracket])
+    def c0(field: VectorField, bracket: VectorField, i: int) -> Expr:
+        return dot(list(zip(mus[i], bracket.components))
+                   + [(-c, d) for c, d in zip(field.components, grads[i])])
 
-    c011, c012 = expand(lie_bracket(x1, x0))
-    c021, c022 = expand(lie_bracket(x2, x0))
-    sf = StructureFunctions(c011, c012, c021, c022, c121=app.a, c122=app.b)
+    b1, b2 = app.brackets
+    sf = StructureFunctions(c0(x1, b1, 0), c0(x1, b1, 1), c0(x2, b2, 0), c0(x2, b2, 1),
+                            c121=app.a, c122=app.b)
     sf.validate_trace()
     return sf
 
@@ -139,7 +151,7 @@ def compute_invariants(sf: StructureFunctions, ctx) -> Invariants:
     b = half * (sf.c021 - sf.c012)
     h_tilde = ((sf.c011, b), (-b, sf.c022))
     h_bar = ((-sf.c011, -b), (-b, sf.c022))
-    chi = -(sf.c011 ** 2) + b * b
+    chi = -(sf.c011 ** 2) + b ** 2
     kappa = (
         ctx.derive(2, sf.c121)
         + ctx.derive(1, sf.c122)
@@ -161,28 +173,32 @@ def _require_h_tilde_zero(ctx: FrameContext) -> Expr:
     return ctx.inv.kappa
 
 
-def eta_residuals(ctx: FrameContext) -> dict[str, tuple[Expr, ...]]:
+def eta_residuals(ctx: FrameContext) -> dict[str, tuple[Residual, ...]]:
     """With h_tilde = 0 (so c := c02^1 = c01^2), build
     eta = (kappa + c) nu0 + c12^1 nu1 - c12^2 nu2: the residuals of
     d(eta) = d(kappa) ^ nu0, and of the two first-order coframe identities
     that the closure rests on."""
     sf = ctx.sf
+    chart = ctx.chart
     kappa = _require_h_tilde_zero(ctx)
     c = sf.c021
-    r1 = -ctx.derive(1, c) - c * sf.c122 + ctx.derive(0, sf.c121)
-    r2 = ctx.derive(2, c) - c * sf.c121 + ctx.derive(0, sf.c122)
+    r1 = Residual(chart, [(-ctx.derive(1, c),), (-c, sf.c122), (ctx.derive(0, sf.c121),)])
+    r2 = Residual(chart, [(ctx.derive(2, c),), (-c, sf.c121), (ctx.derive(0, sf.c122),)])
     coeffs = (kappa + c, sf.c121, -sf.c122)
 
     if ctx.mode == "frame":
-        nu0, nu1, nu2 = ctx.apparatus.coframe
-        eta = nu0.scaled(coeffs[0]) + nu1.scaled(coeffs[1]) + nu2.scaled(coeffs[2])
-        closure = (exterior_derivative(eta) - wedge(differential(kappa), nu0)).components
+        coframe = ctx.apparatus.coframe
+        eta = one_form(chart, *(dot(zip(coeffs, (nu.components[k] for nu in coframe)))
+                                for k in range(3)))
+        d_eta = exterior_derivative(eta).components
+        dk_nu0 = wedge(differential(kappa), coframe[0]).components
+        closure = tuple(Residual(chart, [(d,), (-w,)]) for d, w in zip(d_eta, dk_nu0))
     else:
         closure = _constant_two_form(ctx, coeffs)
     return {"eta_closure": closure, "codifferential_identities": (r1, r2)}
 
 
-def _constant_two_form(ctx: FrameContext, coeffs) -> tuple[Expr, ...]:
+def _constant_two_form(ctx: FrameContext, coeffs) -> tuple[Residual, ...]:
     """d(sum a_i nu_i) for constant a_i, on the basis (nu0^nu1, nu0^nu2, nu1^nu2).
 
     The coframe differentials of the marked structure are
@@ -191,10 +207,11 @@ def _constant_two_form(ctx: FrameContext, coeffs) -> tuple[Expr, ...]:
     """
     sf = ctx.sf
     a0, a1, a2 = coeffs
-    d01 = a1 * sf.c011 + a2 * sf.c012
-    d02 = a1 * sf.c021 + a2 * sf.c022
-    d12 = a0 + a1 * sf.c121 + a2 * sf.c122
-    return (d01, d02, d12)
+    return (
+        Residual(ctx.chart, [(a1, sf.c011), (a2, sf.c012)]),
+        Residual(ctx.chart, [(a1, sf.c021), (a2, sf.c022)]),
+        Residual(ctx.chart, [(a0,), (a1, sf.c121), (a2, sf.c122)]),
+    )
 
 
 # -- frame transformations ----------------------------------------------------

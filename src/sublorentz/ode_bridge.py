@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .calculus import DifferentialForm, VectorField, evaluate, one_form
 from .contact import ContactApparatus, Frame
-from .expr import Chart, Expr
+from .expr import Chart, Expr, Residual
 
 ODE_CHART = Chart(("x", "u", "p"))
 
@@ -55,21 +55,27 @@ def build_from_ode(q: Expr) -> OdeStructure:
     return OdeStructure(chart, q, omega1, omega2, omega3, n1, n2, Frame(chart, x1, x2))
 
 
-def null_bundle_residuals(s: OdeStructure, app: ContactApparatus) -> dict[str, tuple[Expr, ...]]:
+def null_bundle_residuals(s: OdeStructure, app: ContactApparatus) -> dict[str, tuple[Residual, ...]]:
     """X1 + X2 spans ker w1 n ker w2 and X1 - X2 spans ker w1 n ker w3, and
     both directions are null: g(V,V) = -nu1(V)^2 + nu2(V)^2, read through
     the coframe of the frame's apparatus `app`."""
     plus = s.frame.x1 + s.frame.x2
     minus = s.frame.x1 - s.frame.x2
 
-    def g(v: VectorField) -> Expr:
-        return -evaluate(app.nu1, [v]) ** 2 + evaluate(app.nu2, [v]) ** 2
+    chart = s.chart
+
+    def pairing(w: DifferentialForm, v: VectorField) -> Residual:
+        return Residual(chart, zip(w.components, v.components))
+
+    def g(v: VectorField) -> Residual:
+        v1, v2 = evaluate(app.nu1, [v]), evaluate(app.nu2, [v])
+        return Residual(chart, [(-v1, v1), (v2, v2)])
 
     return {
-        "w1(X1+X2)=0": (evaluate(s.omega1, [plus]),),
-        "w2(X1+X2)=0": (evaluate(s.omega2, [plus]),),
-        "w1(X1-X2)=0": (evaluate(s.omega1, [minus]),),
-        "w3(X1-X2)=0": (evaluate(s.omega3, [minus]),),
+        "w1(X1+X2)=0": (pairing(s.omega1, plus),),
+        "w2(X1+X2)=0": (pairing(s.omega2, plus),),
+        "w1(X1-X2)=0": (pairing(s.omega1, minus),),
+        "w3(X1-X2)=0": (pairing(s.omega3, minus),),
         "g(X1+X2,X1+X2)=0": (g(plus),),
         "g(X1-X2,X1-X2)=0": (g(minus),),
     }

@@ -16,9 +16,9 @@ from typing import Iterable, Optional
 
 from . import builtins as fixtures
 from . import expr as ex
-from .contact import Frame, apparatus_residuals, build_apparatus
+from .contact import Frame, apparatus_residuals, build_apparatus, excluded_loci
 from .errors import EngineError
-from .expr import Expr, Tri, join_terms, render_expr
+from .expr import Expr, Residual, Tri, join_terms, render_expr
 from .invariants import (
     FrameContext,
     Invariants,
@@ -132,7 +132,7 @@ def _analysis_blocks(ctx: FrameContext) -> dict:
             "reeb_field": render_field(app.x0),
             "coframe": [[render_expr(c) for c in f.components] for f in app.coframe],
             "contact_locus": render_expr(app.contact_det),
-            "excluded_loci": [render_expr(e) for e in app.excluded],
+            "excluded_loci": [render_expr(e) for e in excluded_loci(app)],
         }
     blocks["structure_functions"] = {k: render_expr(v) for k, v in ctx.sf.as_dict().items()}
     blocks["invariants"] = _invariants_block(ctx.inv)
@@ -148,13 +148,13 @@ def _classification_decided(ctx: FrameContext) -> dict[str, str]:
     return {}
 
 
-def _residuals(ctx: FrameContext) -> dict[str, tuple[Expr, ...]]:
+def _residuals(ctx: FrameContext) -> dict[str, tuple[Residual, ...]]:
     """Apparatus identities (coordinate frames only), the trace identity, and
     the eta-closure and codifferential identities when h_tilde vanishes
     (skipped otherwise: they are defined only in that case)."""
     sf = ctx.sf
     residuals = apparatus_residuals(ctx.apparatus) if ctx.mode == "frame" else {}
-    residuals["trace_identity"] = (sf.c011 + sf.c022,)
+    residuals["trace_identity"] = (Residual(ctx.chart, [(sf.c011,), (sf.c022,)]),)
     if ctx.h_tilde_zero is Tri.TRUE:
         residuals.update(eta_residuals(ctx))
     return residuals
@@ -228,8 +228,8 @@ def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
 
     residuals = {f"rotated:{k}": v for k, v in _residuals(rctx).items()}
     rinv = rctx.inv
-    residuals["kappa_invariant"] = (rinv.kappa - inv.kappa,)
-    residuals["chi_invariant"] = (rinv.chi - inv.chi,)
+    residuals["kappa_invariant"] = (_difference(rinv.kappa, inv.kappa),)
+    residuals["chi_invariant"] = (_difference(rinv.chi, inv.chi),)
     residuals["h_tilde_conjugation"] = _conjugation_residuals(inv, rinv, theta)
     body = {
         "theta": render_expr(theta),
@@ -241,16 +241,21 @@ def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
     return _report("rotate", _input_block(defn), body, residuals)
 
 
-def _conjugation_residuals(inv: Invariants, rinv: Invariants, theta: Expr) -> list[Expr]:
+def _difference(e: Expr, *product: Expr) -> Residual:
+    """e minus the product of `product`, unreduced."""
+    first, *rest = product
+    return Residual(e.chart, [(e,), (-first, *rest)])
+
+
+def _conjugation_residuals(inv: Invariants, rinv: Invariants, theta: Expr) -> list[Residual]:
     """Entries of h_tilde(rotated) - M(theta)^-1 h_tilde M(theta)."""
     (ch_, sh_) = (ex.cosh(theta), ex.sinh(theta))
     m = ((ch_, sh_), (sh_, ch_))
     minv = ((ch_, -sh_), (-sh_, ch_))  # det = cosh^2 - sinh^2 = 1
     h = inv.h_tilde
-    prod = [[sum((minv[i][k] * h[k][l] * m[l][j] for k in range(2) for l in range(2)),
-                 theta.chart.zero())
-             for j in range(2)] for i in range(2)]
-    return [rinv.h_tilde[i][j] - prod[i][j] for i in range(2) for j in range(2)]
+    return [Residual(theta.chart, [(rinv.h_tilde[i][j],)]
+                     + [(-minv[i][k], h[k][l], m[l][j]) for k in range(2) for l in range(2)])
+            for i in range(2) for j in range(2)]
 
 
 def dilate_report(defn: StructureDefinition, scale: str) -> dict:
@@ -266,10 +271,10 @@ def dilate_report(defn: StructureDefinition, scale: str) -> dict:
     # c12' = s c12 but c0j' = s^2 c0j (the Reeb field rescales by s^2), hence
     # kappa' = s^2 kappa while chi' = s^4 chi and h_tilde' = s^2 h_tilde.
     s2 = s * s
-    residuals["kappa_scaling_s2"] = (dinv.kappa - s2 * inv.kappa.lift(chart2),)
-    residuals["chi_scaling_s4"] = (dinv.chi - s2 * s2 * inv.chi.lift(chart2),)
+    residuals["kappa_scaling_s2"] = (_difference(dinv.kappa, s2, inv.kappa.lift(chart2)),)
+    residuals["chi_scaling_s4"] = (_difference(dinv.chi, s2 * s2, inv.chi.lift(chart2)),)
     residuals["h_tilde_scaling_s2"] = tuple(
-        dinv.h_tilde[i][j] - s2 * inv.h_tilde[i][j].lift(chart2)
+        _difference(dinv.h_tilde[i][j], s2, inv.h_tilde[i][j].lift(chart2))
         for i in range(2) for j in range(2)
     )
     body = {
@@ -376,7 +381,7 @@ def to_text(report: dict) -> str:
             lines.append(f"{pad}{key}:")
             for i, v in enumerate(value):
                 emit(f"[{i}]", v, depth + 1)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             lines.append(f"{pad}{key}: [{', '.join(str(v) for v in value)}]")
         else:
             lines.append(f"{pad}{key}: {value}")

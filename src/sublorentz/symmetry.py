@@ -24,7 +24,7 @@ from typing import Optional
 from .calculus import VectorField, evaluate, lie_bracket
 from .contact import ContactApparatus
 from .errors import DistributionNotPreserved
-from .expr import Chart, Expr, Tri, all_zero, dot
+from .expr import Chart, Expr, Residual, Tri, all_zero, dot
 from .invariants import METRIC_DIAG, StructureFunctions
 
 Matrix2 = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -262,7 +262,7 @@ def quadratic_frame_matrix(app: ContactApparatus, P: Expr):
     return tuple(tuple(row) for row in q)
 
 
-def vertical_form_residual(app: ContactApparatus, sf: StructureFunctions) -> Expr:
+def vertical_form_residual(app: ContactApparatus, sf: StructureFunctions) -> Residual:
     """Residual of the closed-form for {h, h0}:
     {h, h0} = -c01^1 h1^2 + (c02^1 - c01^2) h1 h2 + c02^2 h2^2.
 
@@ -275,6 +275,5 @@ def vertical_form_residual(app: ContactApparatus, sf: StructureFunctions) -> Exp
     h2 = fiber_linear(app.frame.x2)
     phase = h.chart
     c011, c012, c021, c022 = (c.lift(phase) for c in (sf.c011, sf.c012, sf.c021, sf.c022))
-    bracket = poisson_bracket(h, h0)
-    target = -c011 * h1 * h1 + (c021 - c012) * h1 * h2 + c022 * h2 * h2
-    return bracket - target
+    return Residual(phase, [(poisson_bracket(h, h0),), (c011, h1, h1), (c012 - c021, h1, h2),
+                            (-c022, h2, h2)])

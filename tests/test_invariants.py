@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sublorentz.calculus import lie_bracket
 from sublorentz.contact import Frame, build_apparatus
 from sublorentz.errors import HTildeNonzero, ThetaInvalid, TraceViolation
 from sublorentz.expr import Chart, Expr, Tri, all_zero
@@ -20,7 +21,7 @@ from sublorentz.invariants import (
     structure_functions,
     verify_normalizing_theta,
 )
-from sublorentz.parsing import parse_expr, render_expr
+from sublorentz.parsing import parse_expr, render_expr, render_field
 
 from .randgen import random_frame, random_theta
 
@@ -106,6 +107,33 @@ class TestInvariants:
             frame = random_frame(rng, CH)
             sf = structure_functions(build_apparatus(frame))
             assert (sf.c011 + sf.c022).is_zero() is Tri.TRUE
+
+
+def _oracle_frames(martinet_frame, heisenberg_frame):
+    """Ten seeded random frames, and martinet and heisenberg each rotated by
+    a seeded random theta, which puts cosh and sinh in their brackets."""
+    rng = random.Random(20240)
+    frames = [random_frame(rng, CH) for _ in range(10)]
+    return frames + [hyperbolic_rotate(f, random_theta(rng, CH))
+                     for f in (martinet_frame, heisenberg_frame)]
+
+
+def test_structure_functions_match_the_reeb_brackets(martinet_frame, heisenberg_frame):
+    """Oracle for reading c0j^i off [Xj,[X2,X1]]: bracketing with the Reeb
+    field itself gives [X1,X0] = c011 X1 + c012 X2, [X2,X0] = c021 X1 +
+    c022 X2 and [X2,X1] - X0 = c121 X1 + c122 X2, each decided TRUE."""
+    for frame in _oracle_frames(martinet_frame, heisenberg_frame):
+        app = build_apparatus(frame)
+        sf = structure_functions(app)
+        x0, x1, x2 = app.marked_fields
+        expected = (
+            (lie_bracket(x1, x0), sf.c011, sf.c012),
+            (lie_bracket(x2, x0), sf.c021, sf.c022),
+            (lie_bracket(x2, x1) - x0, sf.c121, sf.c122),
+        )
+        for bracket, c1, c2 in expected:
+            residual = bracket - x1.scaled(c1) - x2.scaled(c2)
+            assert all_zero(residual.components) is Tri.TRUE, render_field(frame.x2)
 
 
 def eta_holds(ctx) -> Tri:
