@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import BracketPatternViolation, UnknownCatalogName
-from .expr import Chart, Expr, Tri, all_zero, determinant
+from .expr import Chart, Expr, Residual, Tri, all_zero, determinant
 from .invariants import StructureFunctions
 
 PARAM_CHART = Chart((), ("kappa",))
@@ -80,19 +80,20 @@ def algebra_from_brackets(chart: Chart, labels: Sequence[str],
 # -- validation ----------------------------------------------------------------
 
 
-def jacobi_residuals(L: LieAlgebra) -> list[Expr]:
-    """All residuals of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
+def jacobi_residuals(L: LieAlgebra) -> list[Residual]:
+    """All residuals of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
+    unreduced: one per component of each triple i < j < k."""
     n = L.dim
     residuals = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = [L.chart.zero()] * n
+                products = [[] for _ in range(n)]
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, inner in L._terms(a, b).items():
                         for l, outer in L._terms(m, c).items():
-                            acc[l] = acc[l] + inner * outer
-                residuals.extend(acc)
+                            products[l].append((inner, outer))
+                residuals.extend(Residual(L.chart, p) for p in products)
     return residuals
 
 

@@ -36,7 +36,7 @@ from .lie_algebra import (
 )
 from .ode_bridge import build_from_ode, null_bundle_residuals
 from .parsing import StructureDefinition, render_field
-from .symmetry import binomial_identity_check, conformal_factor, preserves_distribution
+from .symmetry import Candidate
 
 REPORT_VERSION = 1
 
@@ -160,24 +160,24 @@ def _residuals(ctx: FrameContext) -> dict[str, tuple[Residual, ...]]:
     return residuals
 
 
-def _symmetry_entries(app, fields) -> list[dict]:
-    out = []
+def _symmetry_entries(app, fields) -> tuple[list[dict], dict[str, str]]:
+    """The entry of each candidate field and its decided word: an unknown
+    verdict is indeterminate."""
+    entries, decided = [], {}
     for name, Z in fields:
-        entry = {"name": name, "field": render_field(Z)}
-        pres = preserves_distribution(Z, app)
-        entry["preserves_distribution"] = _WORDS[pres]
-        if pres is Tri.TRUE:
-            verdict = conformal_factor(Z, app)
-            entry["verdict"] = verdict.kind
-            if verdict.kind == "conformal":
-                entry["mu"] = render_expr(verdict.mu)
-            if verdict.kind in ("isometry", "conformal"):
-                residuals = [r for n in (2, 3) for r in binomial_identity_check(Z, app, n)]
-                entry["bracket_series_residuals_zero"] = _decide(residuals)
-        else:
-            entry["verdict"] = "neither" if pres is Tri.FALSE else "unknown"
-        out.append(entry)
-    return out
+        candidate = Candidate(Z, app)
+        verdict = candidate.verdict
+        entry = {"name": name, "field": render_field(Z),
+                 "preserves_distribution": _WORDS[candidate.preserved], "verdict": verdict.kind}
+        if verdict.kind == "conformal":
+            entry["mu"] = render_expr(verdict.mu)
+        if verdict.kind in ("isometry", "conformal"):
+            residuals = [r for n in (2, 3) for r in candidate.series_residuals(n)]
+            entry["bracket_series_residuals_zero"] = _decide(residuals)
+        entries.append(entry)
+        decided[f"symmetry_{name}_decided"] = (
+            "indeterminate" if verdict.kind == "unknown" else "pass")
+    return entries, decided
 
 
 # -- reports --------------------------------------------------------------------
@@ -190,9 +190,11 @@ def _analysis(defn: StructureDefinition) -> tuple[dict, dict, dict]:
     residuals = _residuals(ctx)
     body = {"chart": {"coords": list(defn.chart.coords), "params": list(defn.chart.params)}}
     body.update(_analysis_blocks(ctx))
+    decided = _classification_decided(ctx)
     if defn.symmetry_fields:
-        body["symmetry"] = _symmetry_entries(ctx.apparatus, defn.symmetry_fields)
-    return body, residuals, _classification_decided(ctx)
+        body["symmetry"], words = _symmetry_entries(ctx.apparatus, defn.symmetry_fields)
+        decided.update(words)
+    return body, residuals, decided
 
 
 def analyze_definition(defn: StructureDefinition) -> dict:
@@ -203,11 +205,7 @@ def symmetry_report(defn: StructureDefinition) -> dict:
     coordinate_frame(defn, "the symmetry command")
     if not defn.symmetry_fields:
         raise EngineError("the structure file has no [symmetry] section")
-    body, residuals, decided = _analysis(defn)
-    for entry in body["symmetry"]:
-        decided[f"symmetry_{entry['name']}_decided"] = (
-            "indeterminate" if entry["verdict"] == "unknown" else "pass")
-    return _report("symmetry", _input_block(defn), body, residuals, decided)
+    return _report("symmetry", _input_block(defn), *_analysis(defn))
 
 
 def classify_report(defn: StructureDefinition) -> dict:

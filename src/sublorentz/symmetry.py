@@ -4,9 +4,10 @@ A candidate field Z must preserve the distribution (both brackets [Z, Xi]
 horizontal).  The restricted Lie derivative of the metric along Z is then a
 symmetric 2x2 matrix on the frame; Z is an infinitesimal isometry when it
 vanishes and conformal with factor mu when it equals mu * g.  Higher-order
-derivatives iterate the same bracket-level formula.  Each candidate walks
-one chain ad_Z^k Xi, which decides preservation and feeds the Lie
-derivative, the conformal factor and the bracket series.
+derivatives iterate the same bracket-level formula.  `Candidate` walks the
+chain ad_Z^k Xi once and decides preservation and the verdict once; its Lie
+derivative entries and the unreduced residuals of its bracket series read
+the same chain.
 
 The fiber side realizes the same data through canonical momenta, declared as
 coordinates of a phase chart: fiber-linear polynomials h_X, the quadratic
@@ -17,7 +18,7 @@ Hamiltonian -h1^2/2 + h2^2/2, and a Poisson bracket whose sign is pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import comb
 from typing import Optional
 
@@ -30,61 +31,93 @@ from .invariants import METRIC_DIAG, StructureFunctions
 Matrix2 = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
 
-class _AdChain:
-    """The chain ad_Z^k X1, ad_Z^k X2 of one candidate Z, each bracket taken
-    once: [Z,X1] and [Z,X2] decide preservation, and the frame parts
-    (nu1, nu2) of each level are read on demand.  Their Reeb parts need no
-    test: zero at k = 0, not FALSE at k = 1 unless preservation is, and zero
-    at the later levels, which only a preserving Z reaches."""
+@dataclass(frozen=True)
+class SymmetryVerdict:
+    kind: str  # isometry | conformal | neither | unknown
+    mu: Optional[Expr]
+
+
+class Candidate:
+    """One candidate field Z against a frame's apparatus, with its chain
+    ad_Z^k X1, ad_Z^k X2 (each bracket taken once), preservation verdict and
+    symmetry verdict, each computed at most once.
+
+    [Z,X1] and [Z,X2] decide preservation, and the frame parts (nu1, nu2) of
+    each level are read on demand.  Their Reeb parts need no test: zero at
+    k = 0, not FALSE at k = 1 unless preservation is, and zero at the later
+    levels, which only a preserving Z reaches."""
 
     def __init__(self, Z: VectorField, app: ContactApparatus):
         self.Z, self.app = Z, app
-        self.rows = [[X, lie_bracket(Z, X)] for X in app.frame.fields]
-        self.preserved = all_zero(evaluate(app.nu0, [row[1]]) for row in self.rows)
-        self.levels: list[tuple[tuple[Expr, Expr], tuple[Expr, Expr]]] = []
+        self._rows = [[X, lie_bracket(Z, X)] for X in app.frame.fields]
+        self._levels: list[Matrix2] = []
 
-    def level(self, k: int) -> tuple[tuple[Expr, Expr], tuple[Expr, Expr]]:
+    @cached_property
+    def preserved(self) -> Tri:
+        return all_zero(evaluate(self.app.nu0, [row[1]]) for row in self._rows)
+
+    @cached_property
+    def verdict(self) -> SymmetryVerdict:
+        """neither when Z moves the distribution; otherwise, from the
+        restricted Lie derivative L, isometry when L = 0, conformal when
+        L = mu*g, neither for any other L.  unknown where undecided."""
+        if self.preserved is not Tri.TRUE:
+            return SymmetryVerdict("neither" if self.preserved is Tri.FALSE else "unknown", None)
+        L = self.lie_derivative()
+        off = L[0][1].is_zero()
+        trace = (L[0][0] + L[1][1]).is_zero()
+        if Tri.FALSE in (off, trace):
+            return SymmetryVerdict("neither", None)
+        if Tri.UNKNOWN in (off, trace):
+            return SymmetryVerdict("unknown", None)
+        mu = L[1][1]
+        v = mu.is_zero()
+        if v is Tri.TRUE:
+            return SymmetryVerdict("isometry", self.app.chart.zero())
+        if v is Tri.FALSE:
+            return SymmetryVerdict("conformal", mu)
+        return SymmetryVerdict("unknown", None)
+
+    def _levels_to(self, k: int) -> list[Matrix2]:
+        """The frame parts of ad_Z^0 .. ad_Z^k of (X1, X2); only a Z decided
+        to preserve the distribution has them."""
+        if self.preserved is not Tri.TRUE:
+            raise DistributionNotPreserved("Z does not preserve the distribution")
         nu1, nu2 = self.app.nu1, self.app.nu2
-        for n in range(len(self.levels), k + 1):
-            for row in self.rows:
+        for n in range(len(self._levels), k + 1):
+            for row in self._rows:
                 if len(row) == n:
                     row.append(lie_bracket(self.Z, row[-1]))
-            self.levels.append(tuple((evaluate(nu1, [row[n]]), evaluate(nu2, [row[n]]))
-                                     for row in self.rows))
-        return self.levels[k]
+            self._levels.append(tuple((evaluate(nu1, [row[n]]), evaluate(nu2, [row[n]]))
+                                      for row in self._rows))
+        return self._levels[:k + 1]
 
+    def lie_derivative(self, order: int = 1) -> Matrix2:
+        """Matrix of the order-th restricted Lie derivative of g on (X1, X2)."""
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        ad = self._levels_to(1)[1]
+        t = _metric(self.app.chart)
+        for _ in range(order):
+            t = _lie_step(self.Z, t, ad)
+        return t
 
-@lru_cache(maxsize=1)
-def _ad_chain(Z: VectorField, app: ContactApparatus) -> _AdChain:
-    """The last candidate's chain: its preservation verdict, conformal factor
-    and bracket series share one walk."""
-    return _AdChain(Z, app)
+    def series_residuals(self, n: int) -> tuple[Residual, Residual, Residual]:
+        """Unreduced sum_k C(n,k) g(ad_Z^k X, ad_Z^{n-k} Y) for the pairs
+        (X1,X1), (X1,X2), (X2,X2).  They all vanish for isometries.  For a
+        conformal field they are the flow derivatives of mu*g, for example
+        (-2)^n g for the weighted dilation of the Heisenberg frame."""
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        levels = self._levels_to(n)
+        chart = self.app.chart
 
+        def residual(i: int, j: int) -> Residual:
+            return Residual(chart, [(chart.number(comb(n, k) * c), levels[k][i][m],
+                                     levels[n - k][j][m])
+                                    for k in range(n + 1) for m, c in enumerate(METRIC_DIAG)])
 
-def _preserving_chain(Z: VectorField, app: ContactApparatus) -> _AdChain:
-    chain = _ad_chain(Z, app)
-    if chain.preserved is not Tri.TRUE:
-        raise DistributionNotPreserved("Z does not preserve the distribution")
-    return chain
-
-
-def preserves_distribution(Z: VectorField, app: ContactApparatus) -> Tri:
-    return _ad_chain(Z, app).preserved
-
-
-def restricted_lie_derivative(Z: VectorField, app: ContactApparatus,
-                              order: int = 1) -> Matrix2:
-    """Matrix of the order-th restricted Lie derivative of g on (X1, X2)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _lie_derivative(_preserving_chain(Z, app), order)
-
-
-def _lie_derivative(chain: _AdChain, order: int) -> Matrix2:
-    t = _metric(chain.app.chart)
-    for _ in range(order):
-        t = _lie_step(chain.Z, t, chain.level(1))
-    return t
+        return (residual(0, 0), residual(0, 1), residual(1, 1))
 
 
 def _metric(chart: Chart) -> Matrix2:
@@ -115,58 +148,6 @@ def reeb_lie_derivative(sf: StructureFunctions, chart: Chart) -> Matrix2:
     their derivative along X0 is zero."""
     ad = [(-sf.c011, -sf.c012), (-sf.c021, -sf.c022)]
     return _lie_step(lambda f: chart.zero(), _metric(chart), ad)
-
-
-@dataclass(frozen=True)
-class SymmetryVerdict:
-    kind: str  # isometry | conformal | neither | unknown
-    mu: Optional[Expr]
-    lie_derivative: Matrix2
-
-
-def conformal_factor(Z: VectorField, app: ContactApparatus) -> SymmetryVerdict:
-    """Classify Z from L = restricted Lie derivative: L = 0 means isometry,
-    L = mu*g conformal, anything else neither."""
-    chain = _ad_chain(Z, app)
-    if chain.preserved is Tri.FALSE:
-        raise DistributionNotPreserved("Z does not preserve the distribution")
-    L = _lie_derivative(chain, 1)
-    if chain.preserved is Tri.UNKNOWN:
-        return SymmetryVerdict("unknown", None, L)
-    off = L[0][1].is_zero()
-    trace = (L[0][0] + L[1][1]).is_zero()
-    if off is Tri.FALSE or trace is Tri.FALSE:
-        return SymmetryVerdict("neither", None, L)
-    if off is Tri.UNKNOWN or trace is Tri.UNKNOWN:
-        return SymmetryVerdict("unknown", None, L)
-    mu = L[1][1]
-    v = mu.is_zero()
-    if v is Tri.TRUE:
-        return SymmetryVerdict("isometry", app.chart.zero(), L)
-    if v is Tri.FALSE:
-        return SymmetryVerdict("conformal", mu, L)
-    return SymmetryVerdict("unknown", mu, L)
-
-
-def binomial_identity_check(Z: VectorField, app: ContactApparatus, n: int) -> tuple[Expr, Expr, Expr]:
-    """Residuals of sum_k C(n,k) g(ad_Z^k X, ad_Z^{n-k} Y) for the pairs
-    (X1,X1), (X1,X2), (X2,X2).  They all vanish for isometries.  For a
-    conformal field they are the flow derivatives of mu*g, for example
-    (-2)^n g for the weighted dilation of the Heisenberg frame."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    chain = _preserving_chain(Z, app)
-    chart = app.chart
-    levels = [chain.level(k) for k in range(n + 1)]
-
-    def g(u: tuple[Expr, Expr], v: tuple[Expr, Expr]) -> Expr:
-        return dot((chart.number(c) * a, b) for c, a, b in zip(METRIC_DIAG, u, v))
-
-    def residual(i: int, j: int) -> Expr:
-        return dot((chart.number(comb(n, k)), g(levels[k][i], levels[n - k][j]))
-                   for k in range(n + 1))
-
-    return (residual(0, 0), residual(0, 1), residual(1, 1))
 
 
 # -- fiber polynomials and the Poisson bracket --------------------------------

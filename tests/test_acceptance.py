@@ -44,13 +44,10 @@ from sublorentz.lie_algebra import (
 from sublorentz.ode_bridge import ODE_CHART, build_from_ode, null_bundle_residuals
 from sublorentz.parsing import parse_expr, parse_field, render_expr
 from sublorentz.symmetry import (
-    binomial_identity_check,
-    conformal_factor,
+    Candidate,
     poisson_bracket,
     fiber_linear,
-    preserves_distribution,
     reeb_lie_derivative,
-    restricted_lie_derivative,
     vertical_form_residual,
 )
 
@@ -361,10 +358,10 @@ def test_criterion_06a_symmetry_verdicts_and_cross_checks(
         app = build_apparatus(frame)
         ctx = FrameContext(app)
         inv = compute_invariants(ctx.sf, ctx)
-        is_isometry = conformal_factor(app.x0, app).kind == "isometry"
+        is_isometry = Candidate(app.x0, app).verdict.kind == "isometry"
         ok &= is_isometry == tri_ok(ctx.h_tilde_zero)
         # cross-module equality: bracket-level derivative equals 2 h_bar
-        L = restricted_lie_derivative(app.x0, app)
+        L = Candidate(app.x0, app).lie_derivative()
         resid = [L[i][j] - 2 * inv.h_bar[i][j] for i in range(2) for j in range(2)]
         ok &= tri_ok(all_zero(resid))
     # same cross-check on the constant-structure fixtures
@@ -382,8 +379,8 @@ def test_criterion_06a_symmetry_verdicts_and_cross_checks(
     happ = build_apparatus(heisenberg_frame)
     boost = parse_field("y*d/dx + x*d/dy", CH)
     dilation = parse_field("x*d/dx + y*d/dy + 2*z*d/dz", CH)
-    ok &= conformal_factor(boost, happ).kind == "isometry"
-    w = conformal_factor(dilation, happ)
+    ok &= Candidate(boost, happ).verdict.kind == "isometry"
+    w = Candidate(dilation, happ).verdict
     ok &= w.kind == "conformal" and w.mu == CH.number(2)
     assert verdict("criterion 6a: symmetry verdicts and derivative cross-checks", bool(ok))
 
@@ -393,7 +390,7 @@ def test_criterion_06b_bracket_series_boost(heisenberg_frame):
     boost = parse_field("y*d/dx + x*d/dy", CH)
     ok = True
     for n in (2, 3):
-        ok &= tri_ok(all_zero(binomial_identity_check(boost, app, n)))
+        ok &= tri_ok(all_zero(Candidate(boost, app).series_residuals(n)))
     assert verdict("criterion 6b: bracket-series residuals vanish for the boost "
                    "(n = 2, 3)", bool(ok))
 
@@ -412,9 +409,9 @@ def test_criterion_06c_bracket_series_dilation(heisenberg_frame):
     derived_ok = quoted_false = True
     rendered = {}
     for n in (2, 3):
-        resid = binomial_identity_check(dilation, app, n)
-        rendered[n] = [render_expr(e) for e in resid]
-        derived_ok &= tri_ok(all_zero([r - (-2) ** n * gij for r, gij in zip(resid, g)]))
+        resid = Candidate(dilation, app).series_residuals(n)
+        rendered[n] = [render_expr(e.value()) for e in resid]
+        derived_ok &= tri_ok(all_zero([r.value() - (-2) ** n * gij for r, gij in zip(resid, g)]))
         quoted_false &= resid[0].is_zero() is Tri.FALSE and resid[2].is_zero() is Tri.FALSE
     ok = derived_ok and quoted_false
     verdict("criterion 6c: dilation bracket-series residuals equal (-2)^n g "

@@ -116,6 +116,21 @@ class TestSymmetryCommand:
         assert (code, out) == (3, "")
         assert err == "error: duplicate key 'Z' in [symmetry] (line 7, column 1)\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "symmetry"])
+    def test_undecided_candidate_exits_2(self, capsys, tmp_path, command):
+        """A candidate whose preservation no zero test decides is an
+        indeterminate verdict in both reports that print it."""
+        path = tmp_path / "undecided.toml"
+        path.write_text(
+            "[frame]\nX1 = d/dx - (1/2)*y*d/dz\nX2 = d/dy + (1/2)*x*d/dz\n\n"
+            "[symmetry]\nU = (sinh(2*x) - 2*sinh(x)*cosh(x))*z*d/dx\n"
+        )
+        code, report, _ = run_json(capsys, command, str(path))
+        assert code == 2
+        assert report["symmetry"][0]["verdict"] == "unknown"
+        assert report["checks"]["symmetry_U_decided"] == "indeterminate"
+        assert report["status"] == "indeterminate"
+
 
 class TestTransformCommands:
     def test_rotate_invariance_checks(self, capsys):
@@ -500,6 +515,8 @@ class TestOneComputePerContext:
         (["rotate", "heisenberg", "--theta", "x*y"], 38),
         (["analyze", "martinet"], 24),
         (["classify", "heisenberg"], 31),
+        (["symmetry", str(HEISENBERG_SYMMETRY)], 49),
+        (["algebra", "conformal8"], 448),
     ])
     def test_zero_tests(self, capsys, monkeypatch, argv, zero_tests):
         """Each residual is decided once, by the report, and each verdict

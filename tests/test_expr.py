@@ -869,7 +869,6 @@ ONLY_TESTS_REACH = (
     "lie_algebra.ad_invariance_residuals",
     "lie_algebra.killing_invariance_residuals",
     "symmetry.reeb_lie_derivative",
-    "symmetry.restricted_lie_derivative",
     "invariants.verify_normalizing_theta",
     "lie_algebra.isometry_structure_equations",
 )

@@ -8,17 +8,14 @@ from sublorentz.calculus import lie_bracket
 from sublorentz.contact import build_apparatus
 from sublorentz.errors import DistributionNotPreserved, UnknownSymbol
 from sublorentz.expr import Chart, Tri, all_zero
-from sublorentz.invariants import FrameContext, compute_invariants
+from sublorentz.invariants import FrameContext, compute_invariants, hyperbolic_rotate
 from sublorentz.parsing import parse_expr, parse_field, render_expr
 from sublorentz.symmetry import (
-    binomial_identity_check,
-    conformal_factor,
+    Candidate,
     fiber_linear,
     geodesic_hamiltonian,
     poisson_bracket,
-    preserves_distribution,
     reeb_lie_derivative,
-    restricted_lie_derivative,
     vertical_form_residual,
 )
 
@@ -33,27 +30,38 @@ def fld(text):
 
 BOOST = "y*d/dx + x*d/dy"
 DILATION = "x*d/dx + y*d/dy + 2*z*d/dz"
+UNDECIDED = "(sinh(2*x) - 2*sinh(x)*cosh(x))*z*d/dx"
+
+
+@pytest.fixture(scope="module")
+def martinet_rotated_frame(martinet_frame):
+    return hyperbolic_rotate(martinet_frame, parse_expr("x*y", CH))
+
+
+@pytest.fixture(scope="module")
+def heisenberg_rotated_frame(heisenberg_frame):
+    return hyperbolic_rotate(heisenberg_frame, parse_expr("x*y", CH))
 
 
 class TestPreservesDistribution:
     def test_boost_preserves(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        assert preserves_distribution(fld(BOOST), app) is Tri.TRUE
+        assert Candidate(fld(BOOST), app).preserved is Tri.TRUE
 
     def test_shear_does_not(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        assert preserves_distribution(fld("z*d/dx"), app) is Tri.FALSE
+        assert Candidate(fld("z*d/dx"), app).preserved is Tri.FALSE
 
     @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame"])
     def test_reeb_always_preserves(self, fixture, request):
         app = build_apparatus(request.getfixturevalue(fixture))
-        assert preserves_distribution(app.x0, app) is Tri.TRUE
+        assert Candidate(app.x0, app).preserved is Tri.TRUE
 
 
 class TestRestrictedLieDerivative:
     def test_martinet_reeb_is_twice_h_bar(self, martinet_frame):
         app = build_apparatus(martinet_frame)
-        L = restricted_lie_derivative(app.x0, app)
+        L = Candidate(app.x0, app).lie_derivative()
         assert [[render_expr(e) for e in row] for row in L] == [
             ["0", "-1/y^2"],
             ["-1/y^2", "0"],
@@ -65,12 +73,12 @@ class TestRestrictedLieDerivative:
 
     def test_heisenberg_reeb_vanishes(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        L = restricted_lie_derivative(app.x0, app)
+        L = Candidate(app.x0, app).lie_derivative()
         assert all_zero([e for row in L for e in row]) is Tri.TRUE
 
     def test_dilation_field_gives_twice_metric(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        L = restricted_lie_derivative(fld(DILATION), app)
+        L = Candidate(fld(DILATION), app).lie_derivative()
         assert [[str(e.sym) for e in row] for row in L] == [["-2", "0"], ["0", "2"]]
 
     @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame"])
@@ -79,7 +87,7 @@ class TestRestrictedLieDerivative:
         structure-function route on every fixture."""
         app = build_apparatus(request.getfixturevalue(fixture))
         ctx = FrameContext(app)
-        direct = restricted_lie_derivative(app.x0, app)
+        direct = Candidate(app.x0, app).lie_derivative()
         via_sf = reeb_lie_derivative(ctx.sf, app.chart)
         resid = [direct[i][j] - via_sf[i][j] for i in range(2) for j in range(2)]
         assert all_zero(resid) is Tri.TRUE
@@ -88,7 +96,7 @@ class TestRestrictedLieDerivative:
         # ad_X0 X2 = -(1/y^2) X1 and X0 kills functions of y, so the second
         # derivative is [[0, 0], [0, -2/y^4]]
         app = build_apparatus(martinet_frame)
-        second = restricted_lie_derivative(app.x0, app, order=2)
+        second = Candidate(app.x0, app).lie_derivative(order=2)
         assert (second[0][1] - second[1][0]).is_zero() is Tri.TRUE
         assert second[0][0].is_zero() is Tri.TRUE
         assert second[1][1] == -2 / CH.var("y") ** 4
@@ -96,43 +104,63 @@ class TestRestrictedLieDerivative:
     def test_requires_preserving_field(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
         with pytest.raises(DistributionNotPreserved):
-            restricted_lie_derivative(fld("z*d/dx"), app)
+            Candidate(fld("z*d/dx"), app).lie_derivative()
 
 
 class TestConformalFactor:
     def test_boost_is_isometry(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        verdict = conformal_factor(fld(BOOST), app)
+        verdict = Candidate(fld(BOOST), app).verdict
         assert verdict.kind == "isometry"
 
     def test_dilation_is_conformal_mu_two(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        verdict = conformal_factor(fld(DILATION), app)
+        verdict = Candidate(fld(DILATION), app).verdict
         assert verdict.kind == "conformal"
         assert verdict.mu == CH.number(2)
 
     def test_martinet_reeb_is_neither(self, martinet_frame):
         app = build_apparatus(martinet_frame)
-        assert conformal_factor(app.x0, app).kind == "neither"
+        assert Candidate(app.x0, app).verdict.kind == "neither"
 
-    @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame"])
+    @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame",
+                                         "martinet_rotated_frame", "heisenberg_rotated_frame"])
     def test_reeb_isometry_iff_h_tilde_zero(self, fixture, request):
         app = build_apparatus(request.getfixturevalue(fixture))
         ctx = FrameContext(app)
-        verdict = conformal_factor(app.x0, app)
+        verdict = Candidate(app.x0, app).verdict
         assert (verdict.kind == "isometry") == (ctx.h_tilde_zero is Tri.TRUE)
+
+
+class TestCandidateEdges:
+    """A candidate that moves the distribution, or whose preservation is
+    undecided, has a verdict but no Lie derivative and no bracket series."""
+
+    @pytest.mark.parametrize("field, preserved, kind", [
+        ("z*d/dx", Tri.FALSE, "neither"),
+        (UNDECIDED, Tri.UNKNOWN, "unknown"),
+    ])
+    def test_verdict_without_derivative(self, heisenberg_frame, field, preserved, kind):
+        candidate = Candidate(fld(field), build_apparatus(heisenberg_frame))
+        assert candidate.preserved is preserved
+        assert candidate.verdict.kind == kind
+        assert candidate.verdict.mu is None
+        with pytest.raises(DistributionNotPreserved):
+            candidate.lie_derivative()
+        with pytest.raises(DistributionNotPreserved):
+            candidate.series_residuals(2)
 
 
 class TestBracketSeriesIdentity:
     def test_boost_residuals_vanish(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
         for n in (2, 3):
-            resid = binomial_identity_check(fld(BOOST), app, n)
+            resid = Candidate(fld(BOOST), app).series_residuals(n)
             assert all_zero(resid) is Tri.TRUE
 
     def test_reeb_on_heisenberg_trivial(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
-        resid = binomial_identity_check(app.x0, app, 2)
+        resid = Candidate(app.x0, app).series_residuals(2)
         assert all_zero(resid) is Tri.TRUE
 
     def test_conformal_residual_is_flow_derivative_of_factor(self, heisenberg_frame):
@@ -142,9 +170,9 @@ class TestBracketSeriesIdentity:
         app = build_apparatus(heisenberg_frame)
         Z = fld(DILATION)
         for n in (2, 3):
-            r = binomial_identity_check(Z, app, n)
+            r = Candidate(Z, app).series_residuals(n)
             expected = ((-2) ** n * CH.number(-1), CH.zero(), (-2) ** n * CH.one())
-            assert all((a - b).is_zero() is Tri.TRUE for a, b in zip(r, expected))
+            assert all((a.value() - b).is_zero() is Tri.TRUE for a, b in zip(r, expected))
 
 class TestPoissonBracket:
     def test_convention_pinned_by_bracket_compatibility(self):
