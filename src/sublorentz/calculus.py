@@ -121,11 +121,6 @@ def evaluate(form: DifferentialForm, fields: Sequence[VectorField]) -> Expr:
 # -- small exact linear algebra ----------------------------------------------
 
 
-def det3(rows) -> Expr:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def adjugate3(rows):
     (a, b, c), (d, e, f), (g, h, i) = rows
     return (
@@ -136,16 +131,17 @@ def adjugate3(rows):
 
 
 def invert3(rows):
-    """Determinant and inverse of a 3x3 matrix, the only exact 3x3 solve.
+    """Determinant and inverse of a 3x3 matrix, the only exact 3x3 solve; the
+    determinant is row 0 against the adjugate's first column.
 
     A canonically-zero determinant raises DegenerateFrame and an undecidable
     one raises IndeterminateDomain.
     """
-    det = det3(rows)
+    adj = adjugate3(rows)
+    det = sum(x * row[0] for x, row in zip(rows[0], adj))
     z = det.is_zero()
     if z is Tri.TRUE:
         raise DegenerateFrame("singular linear system")
     if z is Tri.UNKNOWN:
         raise IndeterminateDomain("cannot decide invertibility of the system")
-    adj = adjugate3(rows)
     return det, tuple(tuple(adj[i][j] / det for j in range(3)) for i in range(3))

@@ -70,7 +70,7 @@ class DistributionNotPreserved(EngineError):
 
 
 class BracketPatternViolation(EngineError):
-    """A marked basis does not satisfy the required bracket pattern."""
+    """A bracket of a basis element with itself is given nonzero."""
 
 
 class UnknownCatalogName(EngineError):

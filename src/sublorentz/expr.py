@@ -22,10 +22,7 @@ e = gcd(t, d) can cancel, leaving (t/e)/((d1/d)*(d2/e)).  With d = g*q and
 d' = g*r, g = gcd(d, d'), the derivative is (n'*q - n*r)/(g*q^2), and only g
 can share a factor with its numerator.  A gcd with 1 is skipped.  `dot`
 sums products unreduced, over one denominator per distinct denominator, and
-cancels the total once.  Where a cosh is folded shows in the result, since
-the fold rewrites cosh(u)^2 before the gcd sees it, so in a field with a
-cosh `dot` adds the folded products one at a time, as a running sum of
-`Expr` products does.
+cancels the total once.
 
 A check needs a verdict, not a value.  A `Residual` is a sum of products
 that is never reduced: its zero test reads the numerator that `dot` would
@@ -621,12 +618,8 @@ def _unreduced_sum(field: FracField, products) -> tuple:
 
 
 def _reduced_sum(chart: Chart, products) -> Expr:
-    """The sum of the products, reduced once.  In a field with a cosh the
-    folded products are added one at a time, because where the fold runs
-    shows in the result."""
+    """The sum of the products, reduced once."""
     field = _field_of_products(chart, products)
-    if _coshes(field):
-        return sum((functools.reduce(operator.mul, p) for p in products), chart.zero())
     return Expr(chart, _reduce(field, *_unreduced_sum(field, products)))
 
 

@@ -1,8 +1,8 @@
 """Finite-dimensional real Lie algebras by sparse structure constants (every
 loop walks only the nonzero ones): Jacobi validation, Killing form with exact
-determinant and inertia, structure functions of a marked basis, dualization
-of constant-coefficient structure equations, and the built-in catalog of
-algebras used by the test fixtures.
+determinant and inertia, structure functions of a marking (any contact pair
+(X1, X2) of a 3-dimensional algebra; X0 is derived), dualization of
+constant-coefficient structure equations, and the catalog of built-in algebras.
 
 Dualization convention: for a constant coframe, dw^k(e_i, e_j) = -w^k([e_i, e_j]),
 so c^k_ij = -(coefficient of w^i ^ w^j in dw^k).  A round-trip test pins this:
@@ -12,12 +12,14 @@ bracket relations with the same signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .calculus import invert3
 from .errors import BracketPatternViolation, UnknownCatalogName
-from .expr import Chart, Expr, Residual, Tri, all_zero, determinant
+from .expr import Chart, Expr, Residual, Tri, all_zero, determinant, dot
 from .invariants import StructureFunctions
 
 PARAM_CHART = Chart((), ("kappa",))
@@ -40,6 +42,9 @@ class LieAlgebra:
     def _terms(self, i: int, j: int) -> Mapping[int, Expr]:
         """The nonzero c^k_ij of [e_i, e_j], by k."""
         return self.brackets.get((i, j), {})
+
+    def basis_vector(self, i: int) -> tuple[Expr, ...]:
+        return tuple(self.chart.number(int(k == i)) for k in range(self.dim))
 
     def bracket(self, i: int, j: int) -> tuple[Expr, ...]:
         terms, zero = self._terms(i, j), self.chart.zero()
@@ -130,49 +135,22 @@ def killing_form(L: LieAlgebra) -> KillingData:
 
 
 def exact_inertia(rows: list[list[Fraction]]) -> tuple[int, int, int]:
-    """Inertia (p, m, z) of a rational symmetric matrix via exact congruence."""
-    A = [row[:] for row in rows]
-    n = len(A)
-    pos = neg = zero = 0
-    step = 0
-    while step < n:
-        piv = next((j for j in range(step, n) if A[j][j] != 0), None)
-        if piv is None:
-            pair = next(
-                ((j, k) for j in range(step, n) for k in range(j + 1, n) if A[j][k] != 0),
-                None,
-            )
-            if pair is None:
-                zero += n - step
-                break
-            j, k = pair
-            for t in range(n):
-                A[j][t] += A[k][t]
-            for t in range(n):
-                A[t][j] += A[t][k]
-            piv = j
-        if piv != step:
-            A[piv], A[step] = A[step], A[piv]
-            for t in range(n):
-                A[t][piv], A[t][step] = A[t][step], A[t][piv]
-        d = A[step][step]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        pivot_row = A[step][:]
-        factors = [A[j][step] / d for j in range(step + 1, n)]
-        for j, f in zip(range(step + 1, n), factors):
-            if f:
-                for t in range(n):
-                    A[j][t] -= f * pivot_row[t]
-        pivot_col = [A[t][step] for t in range(n)]
-        for j, f in zip(range(step + 1, n), factors):
-            if f:
-                for t in range(n):
-                    A[t][j] -= f * pivot_col[t]
-        step += 1
-    return (pos, neg, zero)
+    """Inertia (p, m, z) of a rational symmetric matrix from its characteristic
+    polynomial (Faddeev-LeVerrier on the matrix scaled to integers).  The roots
+    are real, so Descartes' rule of signs is exact: p is the number of sign
+    changes and z the number of trailing zero coefficients."""
+    n = len(rows)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    A = [[int(x * scale) for x in row] for row in rows]
+    coeffs, M = [1], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(A[i][t] * M[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(A[i][t] * M[t][i] for i in range(n) for t in range(n)) // k)
+    signs = [c > 0 for c in coeffs if c]
+    p = sum(a != b for a, b in zip(signs, signs[1:]))
+    z = next(k for k, c in enumerate(reversed(coeffs)) if c)
+    return (p, n - p - z, z)
 
 
 def apply_linear_map(L: LieAlgebra, T: Sequence[Sequence[Expr]], v: Sequence[Expr]):
@@ -223,25 +201,21 @@ def killing_invariance_residuals(L: LieAlgebra, T: Sequence[Sequence[Expr]]) -> 
 # -- marked bases ---------------------------------------------------------------
 
 
-def structure_functions_of_marking(L: LieAlgebra, marking: tuple[int, int, int]) -> StructureFunctions:
-    """Extract the six structure functions from a marked basis (X1, X2, X0).
-
-    Requires [X1,X0], [X2,X0] in span{X1,X2} and [X2,X1] = c X1 + c X2 + X0.
-    The frame context that reads them validates their trace.
-    """
-    i1, i2, i0 = marking
-    for i, j in ((i1, i0), (i2, i0), (i2, i1)):
-        if not set(L._terms(i, j)) <= {i1, i2, i0}:
-            raise BracketPatternViolation("bracket leaves the marked subalgebra")
-    if i0 in L._terms(i1, i0) or i0 in L._terms(i2, i0):
-        raise BracketPatternViolation("[Xi, X0] has a Reeb component")
-    b10, b20, b21 = L.bracket(i1, i0), L.bracket(i2, i0), L.bracket(i2, i1)
-    if b21[i0] != L.chart.one():
-        raise BracketPatternViolation("[X2, X1] must have Reeb coefficient exactly 1")
+def structure_functions_of_marking(L: LieAlgebra, x1: Sequence[Expr],
+                                   x2: Sequence[Expr]) -> StructureFunctions:
+    """The six structure functions of the marking (X1, X2), by `contact`'s
+    formulas with every derivative zero: with B = [X2,X1], (mu1, mu2, w) are
+    the columns of the inverse of the rows (X1, X2, B), c12^1 = w([X2,B]),
+    c12^2 = -w([X1,B]) and c0j^i = mu_i([Xj,B]).  The frame context that
+    reads them validates their trace."""
+    b = L.bracket_of(x2, x1)
+    _, inv = invert3([x1, x2, b])
+    mu1, mu2, omega = ([row[k] for row in inv] for k in range(3))
+    b1, b2 = L.bracket_of(x1, b), L.bracket_of(x2, b)
     return StructureFunctions(
-        c011=b10[i1], c012=b10[i2],
-        c021=b20[i1], c022=b20[i2],
-        c121=b21[i1], c122=b21[i2],
+        c011=dot(zip(mu1, b1)), c012=dot(zip(mu2, b1)),
+        c021=dot(zip(mu1, b2)), c022=dot(zip(mu2, b2)),
+        c121=dot(zip(omega, b2)), c122=-dot(zip(omega, b1)),
     )
 
 
@@ -352,11 +326,12 @@ def isometry_structure_equations(chart: Chart, kappa: Expr) -> list[dict[tuple[i
     ]
 
 
-def catalog_marking(name: str) -> Optional[tuple[int, int, int]]:
-    """Marked (X1, X2, X0) basis positions for catalog algebras, when defined."""
+def catalog_marking(name: str) -> Optional[tuple[int, int]]:
+    """The basis positions of the marked X1 and X2 of catalog algebras, when
+    defined."""
     return {
-        "heisenberg": (0, 1, 2),
-        "sl2_e": (1, 2, 0),
-        "sl2_n": (1, 2, 0),
-        "sl2_f": (1, 2, 0),
+        "heisenberg": (0, 1),
+        "sl2_e": (1, 2),
+        "sl2_n": (1, 2),
+        "sl2_f": (1, 2),
     }.get(name)

@@ -316,7 +316,8 @@ def algebra_report(name: str, kappa: Optional[Expr] = None) -> dict:
     }
     marking, decided = catalog_marking(name), {}
     if marking is not None:
-        ctx = FrameContext(sf=structure_functions_of_marking(algebra, marking), chart=algebra.chart)
+        x1, x2 = map(algebra.basis_vector, marking)
+        ctx = FrameContext(sf=structure_functions_of_marking(algebra, x1, x2), chart=algebra.chart)
         body.update(_analysis_blocks(ctx))
         residuals.update(_residuals(ctx))
         decided = _classification_decided(ctx)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 
-from sublorentz.calculus import VectorField, det3, lie_bracket
+from sublorentz.calculus import VectorField, invert3, lie_bracket
 from sublorentz.contact import Frame
+from sublorentz.errors import DegenerateFrame
 from sublorentz.expr import Chart, Expr, Tri
 
 
@@ -59,9 +60,11 @@ def random_frame(rng: random.Random, chart: Chart) -> Frame:
         g = random_polynomial(rng, chart, max_terms=2, max_degree=2)
         x1 = VectorField(chart, (one, a, f))
         x2 = VectorField(chart, (b, one, g))
-        contact_det = det3([x1.components, x2.components, lie_bracket(x1, x2).components])
-        if contact_det.is_zero() is Tri.FALSE:
-            return Frame(chart, x1, x2)
+        try:
+            invert3([x1.components, x2.components, lie_bracket(x1, x2).components])
+        except DegenerateFrame:
+            continue
+        return Frame(chart, x1, x2)
 
 
 def random_theta(rng: random.Random, chart: Chart) -> Expr:

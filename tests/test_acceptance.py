@@ -120,14 +120,16 @@ def test_criterion_02_heisenberg_golden(heisenberg_frame):
 
 def test_criterion_03_sl2_fixtures():
     e = catalog_algebra("sl2_e")
-    ctx = FrameContext(sf=structure_functions_of_marking(e, catalog_marking("sl2_e")), chart=e.chart)
+    e1, e2 = map(e.basis_vector, catalog_marking("sl2_e"))
+    ctx = FrameContext(sf=structure_functions_of_marking(e, e1, e2), chart=e.chart)
     inv_e = ctx.inv
     ok = tri_ok(ctx.h_tilde_zero)
     ok &= inv_e.kappa == KAPPA
     ok &= classify(ctx).label == "SL2Cover"
 
     n = catalog_algebra("sl2_n")
-    inv_n = FrameContext(sf=structure_functions_of_marking(n, catalog_marking("sl2_n")), chart=n.chart).inv
+    n1, n2 = map(n.basis_vector, catalog_marking("sl2_n"))
+    inv_n = FrameContext(sf=structure_functions_of_marking(n, n1, n2), chart=n.chart).inv
     ok &= inv_n.h_tilde[0][0] == KAPPA and inv_n.h_tilde[1][1] == -KAPPA
     ok &= tri_ok(inv_n.h_tilde[0][1].is_zero())
     ok &= inv_n.chi == -(KAPPA ** 2)
@@ -367,7 +369,8 @@ def test_criterion_06a_symmetry_verdicts_and_cross_checks(
     # same cross-check on the constant-structure fixtures
     for name in ("heisenberg", "sl2_e", "sl2_n", "sl2_f"):
         algebra = catalog_algebra(name)
-        sf = structure_functions_of_marking(algebra, catalog_marking(name))
+        x1, x2 = map(algebra.basis_vector, catalog_marking(name))
+        sf = structure_functions_of_marking(algebra, x1, x2)
         ctx = FrameContext(sf=sf, chart=algebra.chart)
         inv = ctx.inv
         L = reeb_lie_derivative(sf, algebra.chart)

@@ -204,6 +204,50 @@ class TestAlgebraCommand:
         assert report["classification"]["label"] == "Heisenberg"
         assert report["classification"]["scope"] == "group"
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (["heisenberg"],
+         "0eb4dc6b1a052ec6c43a4c574060333e7d88899e3d03bfb2cb90155288d2d4e0"),
+        (["heisenberg", "--format", "json"],
+         "fc684cad79dfb7eb06afde70758b6d5f00bde939bbe554e44fead4de14ec10a6"),
+        (["sl2_e"],
+         "f7db63c6e6750520355bc845c293daa6fc8bccd16f5ea9a9c2d41b94b929ebac"),
+        (["sl2_e", "--format", "json"],
+         "5eafe364666864c0920d775c13bffdf2fb291efe5c1773713dce4853cecb59e5"),
+        (["sl2_n"],
+         "bc77aeff5fad04931a0f5bc585ebe7b95ff1e75999d7e6bd63b7d171360ae292"),
+        (["sl2_n", "--format", "json"],
+         "5a0dd6ca4f953220218fe92936009eb5ef4a0fd78c07e2659388dd2087bc310d"),
+        (["sl2_f"],
+         "f4e89f311f16a1d6f46651b346da79346a821f7ae1f59d5516c85bc50b86a852"),
+        (["sl2_f", "--format", "json"],
+         "fd5418365c1a9eb455e6087c969d58e7c7581688bd7579a288a5ef268d80df06"),
+        (["isometry4"],
+         "828b957fbf91ffde296b4a73a2fde28c6ef7192da834a9fa01ee2df718e8caff"),
+        (["isometry4", "--format", "json"],
+         "0baea459518f25e6303c160077f1832973cf8c4346af23f465dbd59112f433c0"),
+        (["conformal8"],
+         "586474bfa71449a530a093c39de6d9eaafce8063a972184310c37aa6695483bd"),
+        (["conformal8", "--format", "json"],
+         "668eb707e13392ac4e098d3df88d747e17b599784e67088e49d91a384a75633f"),
+        (["sl2_e", "--kappa=3"],
+         "34ac6995eca4c8c45a4d4a7e3a6dfb415f506a96c27b200364834481af50f569"),
+        (["sl2_e", "--kappa=0"],
+         "92e3033281715512c2831cd98c54e189729fe921adb8177dea2c3a08ab402be9"),
+        (["sl2_e", "--kappa=-1/3"],
+         "76e603e316c9d8c19c5e7b8b00b3e108f8a24e62436bff00f2a8dfab5435a0d8"),
+        (["sl2_n", "--kappa=3"],
+         "96dd0184f7617cdf2a6f98f0b45895d508ee53a1a33a62b358b0cb878b1560e8"),
+        (["sl2_n", "--kappa=0"],
+         "867e2cdf6974e329e169d1316d0323c309a502ac11fa3c90acfed0e4a95ccb49"),
+        (["sl2_n", "--kappa=-1/3"],
+         "b4b07c2751cdf5a7c50ce6dc3ef7cd679c8173ba6aa9d932273541bbe277612b"),
+    ])
+    def test_stdout_pinned(self, capsys, argv, sha256):
+        """Every algebra report, byte for byte: the Killing data, and for the
+        marked algebras the structure functions solved from the marking."""
+        code, out, _ = run_cli(capsys, "algebra", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, sha256)
+
 
 class TestOdeCommand:
     def test_linear(self, capsys):
@@ -510,7 +554,7 @@ class TestOneComputePerContext:
 
     @pytest.mark.parametrize("argv, zero_tests", [
         (["analyze", "heisenberg"], 31),
-        (["algebra", "sl2_e"], 15),
+        (["algebra", "sl2_e"], 16),
         (["ode", "--Q", "0"], 37),
         (["rotate", "heisenberg", "--theta", "x*y"], 38),
         (["analyze", "martinet"], 24),
@@ -669,6 +713,14 @@ class TestAtomOutputs:
         # -cosh(y)/(exp(y)*sinh(y)^2 + exp(y)), and sinh(y)^2 + 1 is no locus
         (["analyze", "exp_cosh.txt", "--format", "json"],
          "0f6e85fb4bb6c62bdef499d89baa562509f8c68465619d709d982012997c9364"),
+        (["rotate", "martinet", "--theta", "x + cosh(y)", "--format", "json"],
+         "a56a0f8f4ea66e33b1cb4bfc18849e4019298cad2a63b085a6d244091ac9b2bf"),
+        (["rotate", "martinet", "--theta", "x*cosh(y) + sinh(z)", "--format", "json"],
+         "20e34835faa3e79cd54d0ceb098cc877b976073b12a966591cd2d39fca19c165"),
+        (["rotate", "heisenberg", "--theta", "sinh(x*y) - z", "--format", "json"],
+         "a867b95b167294c32449733d5584bc7053a252e90cfadab17f6d6993417ebba6"),
+        (["rotate", "heisenberg", "--theta", "y*exp(x)", "--format", "json"],
+         "dbe0c129403873804a2cbf9c81a9ba052c574920eec430975ca8a2e697667d9e"),
     ])
     def test_stdout_pinned(self, capsys, frames, argv, sha256):
         code, out, _ = run_cli(capsys, *argv)

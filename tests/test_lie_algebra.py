@@ -4,10 +4,11 @@ invariants, dualization of constant structure equations, and the catalog."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
-from sublorentz.errors import BracketPatternViolation, UnknownCatalogName
+from sublorentz.errors import DegenerateFrame, UnknownCatalogName
 from sublorentz.expr import Chart, Tri, all_zero
-from sublorentz.invariants import FrameContext, compute_invariants
+from sublorentz.invariants import FrameContext, classify, compute_invariants
 from sublorentz.lie_algebra import (
     PARAM_CHART,
     ad_invariance_residuals,
@@ -150,9 +151,29 @@ class TestConformal8:
                 assert (vec[k] - target).is_zero() is Tri.TRUE
 
 
-def marked_context(name):
+MARKED = ("heisenberg", "sl2_e", "sl2_n", "sl2_f")
+# [e3,e1] = e1, [e3,e2] = 2 e2
+BIANCHI_VI = algebra_from_brackets(K, ("e1", "e2", "e3"),
+                                   {(2, 0): {0: K.one()}, (2, 1): {1: K.number(2)}})
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def marking_context(L, x1, x2):
+    return FrameContext(sf=structure_functions_of_marking(L, x1, x2), chart=L.chart)
+
+
+def catalog_vectors(name):
     L = catalog_algebra(name)
-    return FrameContext(sf=structure_functions_of_marking(L, catalog_marking(name)), chart=L.chart)
+    return L, tuple(map(L.basis_vector, catalog_marking(name)))
+
+
+def marked_context(name):
+    L, (x1, x2) = catalog_vectors(name)
+    return marking_context(L, x1, x2)
+
+
+def combination(a, x1, b, x2):
+    return tuple(a * u + b * v for u, v in zip(x1, x2))
 
 
 class TestConstantModeInvariants:
@@ -173,10 +194,65 @@ class TestConstantModeInvariants:
         assert inv.h_tilde[1][1] == -KAPPA
         assert inv.chi == -(KAPPA ** 2)
 
-    def test_bad_marking_rejected(self):
-        L = catalog_algebra("sl2_e")
-        with pytest.raises(BracketPatternViolation):
-            structure_functions_of_marking(L, (0, 1, 2))  # [e1,e0] not proportional to X0
+    def test_non_contact_marking_rejected(self):
+        """[e3, e1] = 0 on the Heisenberg algebra, so (e1, e3, [e3, e1]) is
+        singular."""
+        L = catalog_algebra("heisenberg")
+        with pytest.raises(DegenerateFrame):
+            structure_functions_of_marking(L, L.basis_vector(0), L.basis_vector(2))
+
+    @pytest.mark.parametrize("L", [*map(catalog_algebra, MARKED), BIANCHI_VI],
+                             ids=[*MARKED, "bianchi_vi"])
+    def test_any_marking_satisfies_its_bracket_relations(self, L):
+        """For a drawn contact marking, X0 = [X2,X1] - c121 X1 - c122 X2 has
+        [X1,X0] = c011 X1 + c012 X2 and [X2,X0] = c021 X1 + c022 X2.  On a
+        unimodular algebra, as the catalog's are, tr ad_X1 = -c122 and
+        tr ad_X2 = c121 vanish; Bianchi VI is not unimodular, so there c121
+        and c122 count too."""
+        vectors = st.lists(RATIONALS.map(L.chart.number), min_size=3, max_size=3)
+
+        @given(vectors, vectors)
+        def check(x1, x2):
+            try:
+                sf = structure_functions_of_marking(L, x1, x2)
+            except DegenerateFrame:
+                reject()
+            x0 = combination(1, L.bracket_of(x2, x1), -1, combination(sf.c121, x1, sf.c122, x2))
+            for xj, c1, c2 in ((x1, sf.c011, sf.c012), (x2, sf.c021, sf.c022)):
+                residuals = combination(1, L.bracket_of(xj, x0), -1, combination(c1, x1, c2, x2))
+                assert all_zero(residuals) is Tri.TRUE
+
+        check()
+
+    @pytest.mark.parametrize("name", MARKED)
+    def test_boost_keeps_chi_kappa_and_label(self, name):
+        """X1' = c X1 + s X2, X2' = s X1 + c X2 with c^2 - s^2 = 1 is again an
+        orthonormal marking of the same structure."""
+        L, (x1, x2) = catalog_vectors(name)
+        ctx = marking_context(L, x1, x2)
+
+        @given(RATIONALS.filter(lambda t: t * t != 1))
+        def check(t):
+            c, s = (1 + t * t) / (1 - t * t), 2 * t / (1 - t * t)
+            boosted = marking_context(L, combination(c, x1, s, x2), combination(s, x1, c, x2))
+            assert (boosted.inv.chi, boosted.inv.kappa) == (ctx.inv.chi, ctx.inv.kappa)
+            assert classify(boosted).label == classify(ctx).label
+
+        check()
+
+    @pytest.mark.parametrize("name", MARKED)
+    def test_dilation_scales_chi_and_kappa(self, name):
+        """(lam X1, lam X2) gives kappa' = lam^2 kappa and chi' = lam^4 chi."""
+        L, (x1, x2) = catalog_vectors(name)
+        inv = marking_context(L, x1, x2).inv
+
+        @given(RATIONALS.filter(bool))
+        def check(lam):
+            dilated = marking_context(L, *(tuple(lam * u for u in x) for x in (x1, x2))).inv
+            assert dilated.kappa == lam ** 2 * inv.kappa
+            assert dilated.chi == lam ** 4 * inv.chi
+
+        check()
 
     def test_agrees_with_coordinate_pipeline(self, heisenberg_frame):
         from sublorentz.contact import build_apparatus
@@ -303,6 +379,18 @@ class TestInertia:
     def test_zero_matrix(self):
         m = [[Fraction(0)] * 3 for _ in range(3)]
         assert exact_inertia(m) == (0, 0, 3)
+
+    @given(st.data())
+    def test_sylvester_law(self, data):
+        """P^t diag(d) P, P unit upper triangular, has the inertia of d."""
+        n = data.draw(st.integers(1, 6))
+        d = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        P = [[Fraction(1) if i == j else data.draw(RATIONALS) if j > i else Fraction(0)
+              for j in range(n)] for i in range(n)]
+        m = [[sum(P[k][i] * d[k] * P[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        assert exact_inertia(m) == (sum(x > 0 for x in d), sum(x < 0 for x in d),
+                                    sum(x == 0 for x in d))
 
 
 def test_unknown_catalog_name():
