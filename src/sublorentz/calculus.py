@@ -5,18 +5,20 @@ Forms are stored by components in the coordinate coframe: a 1-form as
 (dx1^dx2, dx1^dx3, dx2^dx3).  Only these two degrees exist: the contact
 apparatus needs 1-forms, their differentials and wedges, and nothing more.
 
-The evaluation convention carries no 1/2 factor:
+`combine` builds every linear combination of fields or of forms, and
+`pairing` is the one evaluation of a form on fields: an unreduced `Residual`,
+decided as it stands or reduced by `evaluate`.  It carries no 1/2 factor:
 (b ^ c)(X, Y) = b(X)c(Y) - b(Y)c(X), so that for any 1-form w,
 dw(X, Y) = X w(Y) - Y w(X) - w([X, Y]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence, TypeVar
 
 from .errors import DegenerateFrame, IndeterminateDomain
-from .expr import Chart, Expr, Tri, dot
+from .expr import Chart, Expr, NumberLike, Residual, Tri, dot
 
 
 @dataclass(frozen=True)
@@ -29,15 +31,6 @@ class VectorField:
             raise ValueError("vector fields require a 3-coordinate chart")
         if len(self.components) != 3:
             raise ValueError("a vector field has exactly three components")
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def scaled(self, f: Expr) -> "VectorField":
-        return VectorField(self.chart, tuple(f * a for a in self.components))
 
     def __call__(self, f: Expr) -> Expr:
         """The directional derivative X(f)."""
@@ -64,19 +57,8 @@ class DifferentialForm:
         if len(self.components) != 3:
             raise ValueError("a form has exactly three components")
 
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        return DifferentialForm(
-            self.chart, self.degree,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
 
-    def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return self + other.scaled(self.chart.number(-1))
-
-    def scaled(self, f: Expr) -> "DifferentialForm":
-        return DifferentialForm(self.chart, self.degree, tuple(f * a for a in self.components))
+Field = TypeVar("Field", VectorField, DifferentialForm)
 
 
 def one_form(chart: Chart, a1: Expr, a2: Expr, a3: Expr) -> DifferentialForm:
@@ -106,16 +88,29 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(a.chart, 2, tuple(u[i] * v[j] - u[j] * v[i] for i, j in _PAIRS))
 
 
-def evaluate(form: DifferentialForm, fields: Sequence[VectorField]) -> Expr:
-    """Multilinear antisymmetric evaluation (no 1/2 factor on 2-forms)."""
+def combine(terms: Sequence[tuple[Expr, Field]]) -> Field:
+    """The field or form sum c*V over the (c, V) of `terms`, all fields or
+    all forms of one degree: one `dot` per component, so each component is
+    reduced once."""
+    comps = tuple(dot([(c, v.components[k]) for c, v in terms]) for k in range(3))
+    return replace(terms[0][1], components=comps)
+
+
+def pairing(form: DifferentialForm, fields: Sequence[VectorField], constant: NumberLike = 0) -> Residual:
+    """form(fields) + constant, multilinear and antisymmetric with no 1/2
+    factor on 2-forms, as an unreduced `Residual`."""
     if len(fields) != form.degree:
         raise ValueError(f"a degree-{form.degree} form takes exactly {form.degree} fields")
     if form.degree == 1:
-        (X,) = fields
-        return dot(zip(form.components, X.components))
-    X, Y = fields
-    return dot((b, X.components[i] * Y.components[j] - X.components[j] * Y.components[i])
-               for (i, j), b in zip(_PAIRS, form.components))
+        return Residual(form.chart, zip(form.components, fields[0].components), constant)
+    x, y = (X.components for X in fields)
+    return Residual(form.chart, [term for (i, j), b in zip(_PAIRS, form.components)
+                                 for term in ((b, x[i], y[j]), (-b, x[j], y[i]))], constant)
+
+
+def evaluate(form: DifferentialForm, fields: Sequence[VectorField]) -> Expr:
+    """The value form(fields), reduced."""
+    return pairing(form, fields).value()
 
 
 # -- small exact linear algebra ----------------------------------------------

@@ -31,10 +31,11 @@ c0j^i = mu_i([Xj,B]) - Xj(c12^i), one `dot` per function
 The Reeb components of the structure brackets need no check:
 w([Xi,X0]) = -dw(Xi,X0) = 0 and w([X2,X1]) = w(B) = 1 hold by construction,
 and the residuals of dw(X0,Xi) = 0 and dw(X1,X2) = 1 in `apparatus_residuals`,
-the one place that takes dw, verify them.  This module only states
-residuals, as unreduced `Residual`s; `report` decides them.  The excluded
-loci are factored by `excluded_loci`, which only the report block that
-prints them calls.
+the one place that takes dw, verify them.  dw enters them through the
+partials of w, unexpanded, which keeps them free of gcds; the other checks
+are `pairing`s, and X0, nu1 and nu2 are each one `combine`.  This module only
+states residuals; `report` decides them.  The excluded loci are factored by
+`excluded_loci`, which only the report block that prints them calls.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ from dataclasses import dataclass, field
 from .calculus import (
     DifferentialForm,
     VectorField,
+    combine,
     evaluate,
     invert3,
     lie_bracket,
     one_form,
+    pairing,
 )
-from .expr import Chart, Expr, Residual, dot, vanishing_loci
+from .expr import Chart, Expr, Residual, vanishing_loci
 
 
 @dataclass(frozen=True)
@@ -116,15 +119,9 @@ def build_apparatus(frame: Frame) -> ContactApparatus:
     a = evaluate(omega, [brackets[1]])
     b = -evaluate(omega, [brackets[0]])
     one = chart.one()
-
-    def combination(terms) -> tuple[Expr, Expr, Expr]:
-        """The components of the sum of c*v over the (c, v) of `terms`, each
-        reduced once."""
-        return tuple(dot([(c, v.components[k]) for c, v in terms]) for k in range(3))
-
-    x0 = VectorField(chart, combination([(one, bracket), (-a, x1), (-b, x2)]))
-    nu1 = one_form(chart, *combination([(one, mu1), (a, omega)]))
-    nu2 = one_form(chart, *combination([(one, mu2), (b, omega)]))
+    x0 = combine([(one, bracket), (-a, x1), (-b, x2)])
+    nu1 = combine([(one, mu1), (a, omega)])
+    nu2 = combine([(one, mu2), (b, omega)])
     # det[X1 | X2 | [X1,X2]]; its zero set is where the contact condition fails.
     return ContactApparatus(frame, omega, mu1, mu2, x0, nu1, nu2, a, b, brackets, -det)
 
@@ -153,20 +150,16 @@ def apparatus_residuals(app: ContactApparatus) -> dict[str, tuple[Residual, ...]
     coords = chart.coords
     partials = {(i, j): app.omega.components[j].diff(coords[i])
                 for i in range(3) for j in range(3) if i != j}
-
-    def pairing(nu: DifferentialForm, X: VectorField, constant=0) -> Residual:
-        return Residual(chart, zip(nu.components, X.components), constant)
-
     nu1, nu2 = app.nu1.components, app.nu2.components
     return {
-        "omega(X1)=0": (pairing(app.omega, x1),),
-        "omega(X2)=0": (pairing(app.omega, x2),),
-        "omega(X0)=1": (pairing(app.omega, x0, -1),),
+        "omega(X1)=0": (pairing(app.omega, [x1]),),
+        "omega(X2)=0": (pairing(app.omega, [x2]),),
+        "omega(X0)=1": (pairing(app.omega, [x0], -1),),
         "dw(X1,X2)=1": (Residual(chart, _dw(partials, x1, x2), -1),),
         "dw(X0,X1)=0": (Residual(chart, _dw(partials, x0, x1)),),
         "dw(X0,X2)=0": (Residual(chart, _dw(partials, x0, x2)),),
         "<nu_i,X_j>=delta_ij": tuple(
-            pairing(nu, X, -1 if i == j else 0)
+            pairing(nu, [X], -1 if i == j else 0)
             for i, nu in enumerate(app.coframe) for j, X in enumerate(fields)
         ),
         "dnu0=nu1^nu2": tuple(

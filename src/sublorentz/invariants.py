@@ -20,10 +20,10 @@ from functools import cached_property
 from typing import Optional
 
 from . import expr as ex
-from .calculus import VectorField, differential, exterior_derivative, one_form, wedge
+from .calculus import VectorField, combine, differential, exterior_derivative, wedge
 from .calculus import lie_bracket  # noqa: F401  (perfbench/test_layers.py wraps this binding)
 from .contact import ContactApparatus, Frame, build_apparatus
-from .errors import HTildeNonzero, IndeterminateDomain, ThetaInvalid, TraceViolation
+from .errors import HTildeNonzero, IndeterminateDomain, ThetaInvalid
 from .expr import Chart, Expr, Residual, Tri, all_zero, dot
 
 #: metric of the orthonormal frame on the distribution: g = diag(-1, +1)
@@ -40,10 +40,6 @@ class StructureFunctions:
     c022: Expr
     c121: Expr
     c122: Expr
-
-    def validate_trace(self):
-        if (self.c011 + self.c022).is_zero() is Tri.FALSE:
-            raise TraceViolation("c01^1 + c02^2 does not vanish")
 
     def as_dict(self) -> dict[str, Expr]:
         return {
@@ -77,7 +73,7 @@ class FrameContext:
 
     `FrameContext(apparatus)` differentiates along a coordinate frame;
     `FrameContext(sf=..., chart=...)` holds constant structure functions,
-    whose directional derivatives all vanish, and validates their trace."""
+    whose directional derivatives all vanish."""
 
     def __init__(self, apparatus: Optional[ContactApparatus] = None, *,
                  sf: Optional[StructureFunctions] = None, chart: Optional[Chart] = None):
@@ -85,7 +81,6 @@ class FrameContext:
         self.mode = "algebra" if apparatus is None else "frame"
         self.chart = chart if apparatus is None else apparatus.chart
         if apparatus is None:
-            sf.validate_trace()
             self.sf = sf  # given, so the cached `sf` below never runs
 
     @cached_property
@@ -137,10 +132,8 @@ def structure_functions(app: ContactApparatus) -> StructureFunctions:
                    + [(-c, d) for c, d in zip(field.components, grads[i])])
 
     b1, b2 = app.brackets
-    sf = StructureFunctions(c0(x1, b1, 0), c0(x1, b1, 1), c0(x2, b2, 0), c0(x2, b2, 1),
-                            c121=app.a, c122=app.b)
-    sf.validate_trace()
-    return sf
+    return StructureFunctions(c0(x1, b1, 0), c0(x1, b1, 1), c0(x2, b2, 0), c0(x2, b2, 1),
+                              c121=app.a, c122=app.b)
 
 
 # -- invariants ---------------------------------------------------------------
@@ -188,9 +181,7 @@ def eta_residuals(ctx: FrameContext) -> dict[str, tuple[Residual, ...]]:
 
     if ctx.mode == "frame":
         coframe = ctx.apparatus.coframe
-        eta = one_form(chart, *(dot(zip(coeffs, (nu.components[k] for nu in coframe)))
-                                for k in range(3)))
-        d_eta = exterior_derivative(eta).components
+        d_eta = exterior_derivative(combine(list(zip(coeffs, coframe)))).components
         dk_nu0 = wedge(differential(kappa), coframe[0]).components
         closure = tuple(Residual(chart, [(d,), (-w,)]) for d, w in zip(d_eta, dk_nu0))
     else:
@@ -222,8 +213,8 @@ def hyperbolic_rotate(frame: Frame, theta: Expr) -> Frame:
     the rotated frame is again orthonormal with Y1 timelike."""
     ch = ex.cosh(theta)
     sh = ex.sinh(theta)
-    y1 = frame.x1.scaled(ch) + frame.x2.scaled(sh)
-    y2 = frame.x1.scaled(sh) + frame.x2.scaled(ch)
+    y1 = combine([(ch, frame.x1), (sh, frame.x2)])
+    y2 = combine([(sh, frame.x1), (ch, frame.x2)])
     return Frame(frame.chart, y1, y2)
 
 
@@ -233,7 +224,7 @@ def dilate(frame: Frame, scale: str) -> Frame:
     s = chart.var(scale)
 
     def lift(v: VectorField) -> VectorField:
-        return VectorField(chart, tuple(c.lift(chart) for c in v.components)).scaled(s)
+        return combine([(s, VectorField(chart, tuple(c.lift(chart) for c in v.components)))])
 
     return Frame(chart, lift(frame.x1), lift(frame.x2))
 

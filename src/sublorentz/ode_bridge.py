@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import DifferentialForm, VectorField, evaluate, one_form
+from .calculus import DifferentialForm, VectorField, combine, evaluate, one_form, pairing
 from .contact import ContactApparatus, Frame
 from .expr import Chart, Expr, Residual
 
@@ -50,8 +50,8 @@ def build_from_ode(q: Expr) -> OdeStructure:
     n1 = VectorField(chart, (one, p, q))
     n2 = VectorField(chart, (zero, zero, one))
     half = one / 2
-    x1 = (n1 + n2).scaled(half)
-    x2 = (n1 - n2).scaled(half)
+    x1 = combine([(half, n1), (half, n2)])
+    x2 = combine([(half, n1), (-half, n2)])
     return OdeStructure(chart, q, omega1, omega2, omega3, n1, n2, Frame(chart, x1, x2))
 
 
@@ -59,23 +59,19 @@ def null_bundle_residuals(s: OdeStructure, app: ContactApparatus) -> dict[str, t
     """X1 + X2 spans ker w1 n ker w2 and X1 - X2 spans ker w1 n ker w3, and
     both directions are null: g(V,V) = -nu1(V)^2 + nu2(V)^2, read through
     the coframe of the frame's apparatus `app`."""
-    plus = s.frame.x1 + s.frame.x2
-    minus = s.frame.x1 - s.frame.x2
-
-    chart = s.chart
-
-    def pairing(w: DifferentialForm, v: VectorField) -> Residual:
-        return Residual(chart, zip(w.components, v.components))
+    one = s.chart.one()
+    plus = combine([(one, s.frame.x1), (one, s.frame.x2)])
+    minus = combine([(one, s.frame.x1), (-one, s.frame.x2)])
 
     def g(v: VectorField) -> Residual:
         v1, v2 = evaluate(app.nu1, [v]), evaluate(app.nu2, [v])
-        return Residual(chart, [(-v1, v1), (v2, v2)])
+        return Residual(s.chart, [(-v1, v1), (v2, v2)])
 
     return {
-        "w1(X1+X2)=0": (pairing(s.omega1, plus),),
-        "w2(X1+X2)=0": (pairing(s.omega2, plus),),
-        "w1(X1-X2)=0": (pairing(s.omega1, minus),),
-        "w3(X1-X2)=0": (pairing(s.omega3, minus),),
+        "w1(X1+X2)=0": (pairing(s.omega1, [plus]),),
+        "w2(X1+X2)=0": (pairing(s.omega2, [plus]),),
+        "w1(X1-X2)=0": (pairing(s.omega1, [minus]),),
+        "w3(X1-X2)=0": (pairing(s.omega3, [minus]),),
         "g(X1+X2,X1+X2)=0": (g(plus),),
         "g(X1-X2,X1-X2)=0": (g(minus),),
     }

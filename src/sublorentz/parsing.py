@@ -20,9 +20,10 @@ from .errors import (
     DuplicateMode,
     ExprSyntaxError,
     MissingSection,
+    TraceViolation,
     UnknownSymbol,
 )
-from .expr import Chart, Expr, join_terms, render_expr
+from .expr import Chart, Expr, Tri, join_terms, render_expr
 
 _FUNCS = {"exp": ex.exp, "sinh": ex.sinh, "cosh": ex.cosh, "log": ex.log}
 
@@ -383,7 +384,8 @@ def parse_structure_file(text: str, source_name: str = "<memory>") -> StructureD
         defn = StructureDefinition(chart, "frame", x1=fields["X1"], x2=fields["X2"],
                                    source_name=source_name)
     else:
-        chart = Chart((), params) if len(coords) == 0 else Chart(coords, params)
+        if "chart" in sections:
+            raise ExprSyntaxError("[chart] requires a coordinate frame")
         const_chart = Chart((), params)
         consts: dict[str, Expr] = {}
         for lineno, key, value, col in sections["algebra"]:
@@ -392,6 +394,9 @@ def parse_structure_file(text: str, source_name: str = "<memory>") -> StructureD
             consts[key] = parse_expr(value, const_chart, line=lineno, column=col)
         for key in STRUCTURE_KEYS:
             consts.setdefault(key, const_chart.zero())
+        # Outside input: for a frame or a catalog marking the identity is a theorem.
+        if (consts["c011"] + consts["c022"]).is_zero() is Tri.FALSE:
+            raise TraceViolation("c01^1 + c02^2 does not vanish")
         defn = StructureDefinition(const_chart, "algebra", structure_constants=consts,
                                    source_name=source_name)
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 from typing import Optional
 
-from .calculus import VectorField, evaluate, lie_bracket
+from .calculus import VectorField, evaluate, lie_bracket, pairing
 from .contact import ContactApparatus
 from .errors import DistributionNotPreserved
 from .expr import Chart, Expr, Residual, Tri, all_zero, dot
@@ -54,7 +54,7 @@ class Candidate:
 
     @cached_property
     def preserved(self) -> Tri:
-        return all_zero(evaluate(self.app.nu0, [row[1]]) for row in self._rows)
+        return all_zero(pairing(self.app.nu0, [row[1]]) for row in self._rows)
 
     @cached_property
     def verdict(self) -> SymmetryVerdict:

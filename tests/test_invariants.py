@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sublorentz.calculus import lie_bracket
+from sublorentz.calculus import combine, lie_bracket
 from sublorentz.contact import Frame, build_apparatus
 from sublorentz.errors import HTildeNonzero, ThetaInvalid, TraceViolation
 from sublorentz.expr import Chart, Expr, Tri, all_zero
@@ -21,7 +21,7 @@ from sublorentz.invariants import (
     structure_functions,
     verify_normalizing_theta,
 )
-from sublorentz.parsing import parse_expr, render_expr, render_field
+from sublorentz.parsing import parse_expr, parse_structure_file, render_expr, render_field
 
 from .randgen import random_frame, random_theta
 
@@ -62,9 +62,12 @@ class TestStructureFunctions:
         assert ctx.sf.c012 == -KCH.var("kappa")
 
     def test_trace_violation_rejected(self):
-        bad = const_sf(c011="kappa", c022="kappa")
-        with pytest.raises(TraceViolation):
-            FrameContext(sf=bad, chart=KCH)
+        """Constants read from an [algebra] file are outside input, so the
+        parser checks c01^1 + c02^2 = 0; for a frame or a catalog marking
+        the identity is a theorem, and its check decides it once."""
+        bad = "[params]\nnames = kappa\n[algebra]\nc011 = kappa\nc022 = kappa\n"
+        with pytest.raises(TraceViolation, match=r"c01\^1 \+ c02\^2 does not vanish"):
+            parse_structure_file(bad)
 
 
 class TestInvariants:
@@ -126,13 +129,14 @@ def test_structure_functions_match_the_reeb_brackets(martinet_frame, heisenberg_
         app = build_apparatus(frame)
         sf = structure_functions(app)
         x0, x1, x2 = app.marked_fields
+        one = CH.one()
         expected = (
             (lie_bracket(x1, x0), sf.c011, sf.c012),
             (lie_bracket(x2, x0), sf.c021, sf.c022),
-            (lie_bracket(x2, x1) - x0, sf.c121, sf.c122),
+            (combine([(one, lie_bracket(x2, x1)), (-one, x0)]), sf.c121, sf.c122),
         )
         for bracket, c1, c2 in expected:
-            residual = bracket - x1.scaled(c1) - x2.scaled(c2)
+            residual = combine([(one, bracket), (-c1, x1), (-c2, x2)])
             assert all_zero(residual.components) is Tri.TRUE, render_field(frame.x2)
 
 
@@ -216,8 +220,9 @@ class TestFrameContextVerdicts:
 class TestHyperbolicRotation:
     def test_zero_angle_identity(self, martinet_frame):
         rotated = hyperbolic_rotate(martinet_frame, CH.zero())
-        assert all_zero((rotated.x1 - martinet_frame.x1).components) is Tri.TRUE
-        assert all_zero((rotated.x2 - martinet_frame.x2).components) is Tri.TRUE
+        one = CH.one()
+        assert all_zero(combine([(one, rotated.x1), (-one, martinet_frame.x1)]).components) is Tri.TRUE
+        assert all_zero(combine([(one, rotated.x2), (-one, martinet_frame.x2)]).components) is Tri.TRUE
 
     def test_heisenberg_xy_rotation_kappa_still_zero(self, heisenberg_frame):
         theta = exp_("x*y")

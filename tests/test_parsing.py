@@ -175,6 +175,13 @@ class TestStructureFiles:
         with pytest.raises(MissingSection):
             parse_structure_file("[chart]\ncoords = x, y, z\n")
 
+    @pytest.mark.parametrize("chart", ["", "coords = a, b\n", "coords = x, x\n"])
+    def test_chart_next_to_algebra_rejected(self, chart):
+        """Constant structure functions have no coordinates, so a [chart]
+        beside [algebra] is refused, not validated and then ignored."""
+        with pytest.raises(ExprSyntaxError, match=r"\[chart\] requires a coordinate frame"):
+            parse_structure_file(f"[chart]\n{chart}[algebra]\nc012 = 1\nc021 = 1\n")
+
     def test_symmetry_section(self):
         text = MARTINET_FILE + "\n[symmetry]\nZ = y*d/dx + x*d/dy\n"
         defn = parse_structure_file(text)

@@ -1,15 +1,17 @@
 """Infinitesimal symmetry tests and the fiber-polynomial realization."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sublorentz.calculus import lie_bracket
-from sublorentz.contact import build_apparatus
+from sublorentz.calculus import combine, lie_bracket
+from sublorentz.contact import Frame, build_apparatus
 from sublorentz.errors import DistributionNotPreserved, UnknownSymbol
-from sublorentz.expr import Chart, Tri, all_zero
+from sublorentz.expr import Chart, Residual, Tri, all_zero
 from sublorentz.invariants import FrameContext, compute_invariants, hyperbolic_rotate
-from sublorentz.parsing import parse_expr, parse_field, render_expr
+from sublorentz.parsing import parse_expr, parse_field, parse_structure_file, render_expr
 from sublorentz.symmetry import (
     Candidate,
     fiber_linear,
@@ -220,6 +222,56 @@ class TestFrameMomenta:
         q = quadratic_frame_matrix(app, bracket)
         assert render_expr(q[1][2]) == "1/(2*y^2)"
         assert all_zero([q[0][0], q[0][1], q[0][2], q[1][1], q[2][2]]) is Tri.TRUE
+
+
+HEISENBERG_SYMMETRY = parse_structure_file(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "heisenberg_symmetry.txt").read_text())
+
+
+def hamiltonian_agrees(frame: Frame, Z) -> str:
+    """Check a decided `Candidate` verdict of Z against the Hamiltonian
+    route, and return the verdict.  With h the geodesic Hamiltonian and h_Z
+    the fiber-linear function of Z, Z is an isometry exactly when
+    {h, h_Z} = 0, and conformal with factor mu exactly when
+    {h, h_Z} = mu*h; otherwise {h, h_Z}/h depends on the momenta."""
+    verdict = Candidate(Z, build_apparatus(frame)).verdict
+    h = geodesic_hamiltonian(frame.x1, frame.x2)
+    phase = h.chart
+    bracket = poisson_bracket(h, fiber_linear(Z))
+    if verdict.kind != "unknown":
+        assert (bracket.is_zero() is Tri.TRUE) == (verdict.kind == "isometry")
+    if verdict.kind == "conformal":
+        assert Residual(phase, [(bracket,), (-verdict.mu.lift(phase), h)]).is_zero() is Tri.TRUE
+    if verdict.kind == "neither":
+        ratio = bracket / h
+        momenta = phase.coords[3:3 + len(frame.chart.coords)]
+        assert any(ratio.diff(p).is_zero() is Tri.FALSE for p in momenta)
+    return verdict.kind
+
+
+class TestHamiltonianRoute:
+    """The fiber side decides the same verdicts as `Candidate`."""
+
+    def test_fixture_fields(self):
+        defn = HEISENBERG_SYMMETRY
+        frame = Frame(defn.chart, defn.x1, defn.x2)
+        kinds = {name: hamiltonian_agrees(frame, Z) for name, Z in defn.symmetry_fields}
+        assert kinds == {"Z": "isometry", "W": "conformal", "V": "neither"}
+
+    @given(st.integers(-3, 3), st.integers(-3, 3))
+    def test_combinations_of_the_boost_and_the_dilation(self, a, b):
+        defn = HEISENBERG_SYMMETRY
+        fields = dict(defn.symmetry_fields)
+        chart = defn.chart
+        Z = combine([(chart.number(a), fields["Z"]), (chart.number(b), fields["W"])])
+        kind = hamiltonian_agrees(Frame(chart, defn.x1, defn.x2), Z)
+        assert kind == ("conformal" if b else "isometry")
+
+    @pytest.mark.parametrize("fixture", ["heisenberg_frame", "martinet_frame"])
+    @given(seed=st.integers(0, 2 ** 32))
+    def test_polynomial_fields(self, fixture, request, seed):
+        frame = request.getfixturevalue(fixture)
+        hamiltonian_agrees(frame, random_field(random.Random(seed), CH, max_degree=2))
 
 
 class TestVerticalFormResidual:
