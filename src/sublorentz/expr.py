@@ -3,15 +3,21 @@ parameters and the atoms exp, sinh, cosh and log.
 
 A value is an element of sympy's sparse `FracField` over ZZ in lex order (over
 QQ every gcd would first convert both polynomials to ZZ and back), whose
-generators are the chart's names and the atoms the value holds, read as
-`sympy.cancel` reads a tree: an exp of a sum is a product of exps, and exp(c*t)
-for a rational c is a power of exp(t/n), the one generator of the term t.  They
-are sorted as `cancel` sorts them (`_sort_gens`, ties kept in chart order), so
-`Expr.sym` prints as the tree `cancel` returns.  cosh(u) comes with sinh(u) and
-is of degree <= 1 by cosh(u)^2 = 1 + sinh(u)^2, which also takes a cosh(u)
-that divides the denominator out of it; any other cosh stays below
-(`_fold_cosh`).  The fraction is gcd-reduced with a positive leading
-coefficient below, in the field of exactly its atoms.
+generators are the chart's names and the atoms the value holds.  One table
+builds every atom from its argument's value, by the rules sympy's evaluation
+and `expand` once applied to the atom's tree: an exp of a sum is a product of
+exps, and exp(c*t) for a rational c is a power of exp(t/n), the one generator
+of the term t; exp(k*log(v)) is v^k for an integer k and refused otherwise;
+sinh is odd and cosh even, written with the argument negated when more of its
+terms are negative than positive (a tie goes by sympy's sort key); a log
+splits off the logs of its argument's rational content and constant factors
+with a sign.  An atom is the sympy function, unevaluated, of its argument's
+expanded tree, and keeps its argument's value.  The generators are sorted as
+`cancel` sorts them (`_sort_gens`, by their text, ties kept in chart order).
+cosh(u) comes with sinh(u) and is of degree <= 1 by cosh(u)^2 = 1 +
+sinh(u)^2, which also takes a cosh(u) that divides the denominator out of it;
+any other cosh stays below (`_fold_cosh`).  The fraction is gcd-reduced with a
+positive leading coefficient below, in the field of exactly its atoms.
 
 The arithmetic keeps every operand reduced and reduces each result once,
 with no gcd against a full product (Henrici; Knuth, TAOCP 2, 4.5.1).  For
@@ -64,8 +70,6 @@ from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 
 from .errors import DivisionByZero, NonRationalValue, NonRealValue, UnknownSymbol
-
-_ATOM_FUNCS = (sp.exp, sp.sinh, sp.cosh, sp.log)  # and the number E, which is exp(1)
 
 NumberLike = Union[int, Fraction, sp.Rational]
 
@@ -158,6 +162,12 @@ def _is_exp(g) -> bool:
     return g is sp.E or isinstance(g, sp.exp)
 
 
+# The value of each exp term t and each sinh, cosh and log generator's
+# argument, kept as the table makes them.
+_EXP_TERMS: dict = {}
+_ARGUMENTS: dict = {}
+
+
 def _exp_key(g):
     """(key, c): for g = exp(c*t) with a rational c, key is ("exp", t); for
     any other generator, g and 1."""
@@ -167,18 +177,45 @@ def _exp_key(g):
     return ("exp", t), Fraction(int(c.p), int(c.q))
 
 
+def _exp_generator(t: sp.Expr, n: int) -> sp.Expr:
+    """The generator exp(t/n) of the exps of the term t."""
+    return sp.E if t is sp.S.One and n == 1 else sp.exp(t / n, evaluate=False)
+
+
+@functools.cache
+def _partner(atom: sp.Expr) -> sp.Expr:
+    """cosh(u) for sinh(u) and sinh(u) for cosh(u)."""
+    kind = sp.sinh if isinstance(atom, sp.cosh) else sp.cosh
+    partner = kind(atom.args[0], evaluate=False)
+    _ARGUMENTS[partner] = _ARGUMENTS[atom]
+    return partner
+
+
+def _spec(g, k: int = 1):
+    """How `_field` names the generator g at the power k: (t, c) for
+    exp(t)^c, g itself for any other atom."""
+    if _is_exp(g):
+        (_, t), c = _exp_key(g)
+        return t, c * k
+    return g
+
+
 @functools.cache
 def _field(chart: Chart, atoms: frozenset) -> FracField:
-    """The field of the chart's names and `atoms`: the exps of one term t
-    share the generator exp(t/n), and each cosh(u) comes with sinh(u)."""
-    denoms = {}
+    """The field of the chart's names and `atoms`, each a sinh, cosh or log
+    generator or a pair (t, c) for exp(c*t): the exps of one term t share
+    the generator exp(t/n), and each cosh(u) comes with sinh(u)."""
+    denoms, gens = {}, set()
     for a in atoms:
-        key, c = _exp_key(a)
-        denoms[key] = math.lcm(denoms.get(key, 1), c.denominator)
-        if isinstance(a, sp.cosh):
-            denoms[sp.sinh(a.args[0])] = 1
-    gens = sorted((sp.exp(k[1] / n) if isinstance(k, tuple) else k for k, n in denoms.items()),
-                  key=sp.default_sort_key)
+        if isinstance(a, tuple):
+            t, c = a
+            denoms[t] = math.lcm(denoms.get(t, 1), c.denominator)
+        else:
+            gens.add(a)
+            if isinstance(a, sp.cosh):
+                gens.add(_partner(a))
+    gens.update(_exp_generator(t, n) for t, n in denoms.items())
+    gens = sorted(gens, key=sp.default_sort_key)
     return _field_of(_sort_gens([sp.Symbol(n) for n in chart.names] + gens))
 
 
@@ -189,9 +226,14 @@ def _field_of(symbols: tuple) -> FracField:
     return FracField(symbols, ZZ, lex)
 
 
+@functools.cache
+def _specs(field: FracField) -> frozenset:
+    return frozenset(map(_spec, _atoms(field)))
+
+
 def _union(chart: Chart, *fields: FracField) -> FracField:
     """The field on `chart` where values of `fields` meet."""
-    return _field(chart, frozenset().union(*map(_atoms, fields)))
+    return _field(chart, frozenset().union(*map(_specs, fields)))
 
 
 @functools.cache
@@ -209,7 +251,7 @@ def _atoms(field: FracField) -> dict:
 def _coshes(field: FracField) -> tuple:
     """(index, cosh(u), 1 + sinh(u)^2) in the ring, per cosh generator."""
     gens = field.ring.gens
-    return tuple((i, gens[i], 1 + gens[field.symbols.index(sp.sinh(a.args[0]))] ** 2)
+    return tuple((i, gens[i], 1 + gens[field.symbols.index(_partner(a))] ** 2)
                  for a, i in _atoms(field).items() if isinstance(a, sp.cosh))
 
 
@@ -365,52 +407,267 @@ def _own_field(chart: Chart, f: FracElement) -> FracField:
         for a, i in atoms.items():
             if monom[i]:
                 used[a] = math.gcd(used.get(a, 0), monom[i])
-    return _field(chart, frozenset(
-        a ** k if _is_exp(a) else a for a, k in used.items()))
+    return _field(chart, frozenset(_spec(a, k) for a, k in used.items()))
+
+
+# -- the atom table ------------------------------------------------------------
+#
+# exp, sinh, cosh and log build each atom from its argument's value, by the
+# rules that sympy's evaluation and `expand` once applied to the atom's tree.
+# An atom is the sympy function, unevaluated, of its argument's expanded tree
+# (`_expansion`): the generators are ordered by that text (`_sort_gens`).
+
+
+def _power(g: sp.Expr, k: int) -> sp.Expr:
+    """g^k as sympy writes it: exp(t)^k is exp(k*t)."""
+    if k == 1:
+        return g
+    if _is_exp(g):
+        (_, t), c = _exp_key(g)
+        c *= k
+        return sp.E if t is sp.S.One and c == 1 else sp.exp(_rational(c) * t, evaluate=False)
+    return sp.Pow(g, k)
+
+
+def _rational(c: Fraction) -> sp.Rational:
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def _monomial(field: FracField, monom) -> sp.Expr:
+    """The product of field's generators at the exponents `monom`, some of
+    which may be negative."""
+    return sp.Mul(*(_power(g, k) for g, k in zip(field.symbols, monom) if k))
+
+
+def _expansion(u: "Expr") -> tuple:
+    """(terms, D): u = n/d as sympy expands it, the sum of c*t over the terms
+    (c, t, m) of n, c rational and t the product of the generators at the
+    exponents m over D.  A constant d goes into c and D is 1; a monomial
+    d = c_d*M divides each term, so m may hold negative exponents, and D is
+    1; any other d stays whole as the factor 1/D of each t, D = d or -d as
+    sympy's sign rule writes it (`_minus_leads`)."""
+    f = u._frac
+    field, numer, denom = f.field, f.numer, f.denom
+    one = field.ring.one
+    if denom.is_ground:
+        q = int(denom.LC)
+        return [(Fraction(int(c), q), _monomial(field, m), m) for m, c in numer.terms()], one
+    if len(denom) == 1:
+        (dm, dc), = denom.terms()
+        terms = []
+        for m, c in numer.terms():
+            m = tuple(a - b for a, b in zip(m, dm))
+            terms.append((Fraction(int(c), int(dc)), _monomial(field, m), m))
+        return terms, one
+    dterms = [(Fraction(int(c)), _monomial(field, m)) for m, c in denom.terms()]
+    s = -1 if _minus_leads(dterms) else 1
+    inverse = sp.Pow(_sum_tree((s * c, t) for c, t in dterms), -1, evaluate=False)
+    return [(s * Fraction(int(c)), sp.Mul(_monomial(field, m), inverse), m)
+            for m, c in numer.terms()], s * denom
+
+
+def _sum_tree(terms) -> sp.Expr:
+    """The unevaluated sum of the terms c*t of (c, t, ...) in `terms`."""
+    trees = [_rational(c) * t for c, t, *_ in terms]
+    return trees[0] if len(trees) == 1 else sp.Add(*trees, evaluate=False)
+
+
+def _minus_leads(terms) -> bool:
+    """True when sympy writes the sum of the terms (c, t, ...) negated: when
+    more of them have a negative c than a positive one, and on a tie when
+    the sum's sort key is below the negated sum's."""
+    terms = list(terms)
+    negative = 2 * sum(c < 0 for c, *_ in terms)
+    if negative != len(terms):
+        return negative > len(terms)
+    return _sum_tree(terms).sort_key() < _sum_tree((-c, t) for c, t, *_ in terms).sort_key()
+
+
+@functools.cache
+def _generator_value(chart: Chart, g: sp.Expr) -> "Expr":
+    field = _field(chart, frozenset({_spec(g)}))
+    return Expr(chart, field.gens[_atoms(field)[g]])
+
+
+def _atom(kind, tree: sp.Expr, u: "Expr") -> "Expr":
+    """The value of the generator kind(tree), whose argument is u."""
+    atom = kind(tree, evaluate=False)
+    _ARGUMENTS.setdefault(atom, u)
+    return _generator_value(u.chart, atom)
+
+
+@functools.cache
+def _hyperbolic_argument(u: "Expr") -> tuple:
+    """(tree, negated): sinh(u) is -sinh(-u) and cosh(u) is cosh(-u) when
+    sympy writes u negated."""
+    terms, _ = _expansion(u)
+    negated = _minus_leads(terms)
+    return _sum_tree((-c, t) if negated else (c, t) for c, t, _ in terms), negated
+
+
+def _hyperbolic(kind, u: "Expr") -> "Expr":
+    if not u._frac:
+        return u.chart.zero() if kind is sp.sinh else u.chart.one()
+    tree, negated = _hyperbolic_argument(u)
+    value = _atom(kind, tree, -u if negated else u)
+    return -value if negated and kind is sp.sinh else value
+
+
+def _exp_term(u: "Expr", c: Fraction, t: sp.Expr, m, denom) -> "Expr":
+    """exp(c*t) for a term of `_expansion(u)`: v^c when t is log(v) (sympy's
+    single log factor), refused unless c is an integer and t has no other
+    factor; else a power of the generator exp(t/n)."""
+    chart = u.chart
+    factors = sp.Mul.make_args(t)
+    logs = [g for g in factors if isinstance(g, sp.log)]
+    if len(logs) == 1 and all(g in logs or not g.free_symbols for g in factors):
+        if len(factors) > 1 or c.denominator != 1:
+            power = sp.Mul(_rational(c), *(g for g in factors if g not in logs))
+            raise NonRationalValue(_NON_RATIONAL.format(sp.sstr(sp.Pow(logs[0].args[0], power))))
+        return _argument(chart, logs[0]) ** c.numerator
+    if t not in _EXP_TERMS:
+        ring = u._frac.field.ring
+        numer = ring.from_dict({tuple(max(k, 0) for k in m): 1})
+        denom = ring.from_dict({tuple(max(-k, 0) for k in m): 1}) * denom
+        _EXP_TERMS[t] = Expr(chart, _reduce(u._frac.field, numer, denom))
+    return _generator_value(chart, _exp_generator(t, c.denominator)) ** c.numerator
+
+
+def _is_constant(u: "Expr") -> bool:
+    """True when u holds no name, also inside its atoms."""
+    f = u._frac
+    names = [i for i, g in enumerate(f.field.symbols) if g.is_Symbol]
+    return (not any(m[i] for m in itertools.chain(f.numer.itermonoms(), f.denom.itermonoms())
+                    for i in names)
+            and not any(g.free_symbols for g in _atoms(f.field)))
+
+
+def _log_rational(chart: Chart, q: Fraction) -> "Expr":
+    """log(a/b) = log(a) - log(b) for a rational q = a/b > 0, with each
+    perfect power n = r^k written k*log(r)."""
+    out = chart.zero()
+    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
+        if n != 1:
+            root, k = sp.perfect_power(n) or (n, 1)
+            out = out + sign * k * _log_atom(chart.number(root))
+    return out
+
+
+def _log_atom(u: "Expr") -> "Expr":
+    return _atom(sp.log, _sum_tree(_expansion(u)[0]), u)
+
+
+def _log_factors(u: "Expr") -> list:
+    """The factors (tree, value, base, k) of u = base^k that sympy's log
+    expansion tests for a sign: the rational content c = a/b of u (base
+    None), each atom power of the monomial gcds of numerator and
+    denominator, and what is left of each of them when it is a sum, with the
+    sign sympy writes it in.  Over a constant denominator, c is taken as a
+    when some coefficient of u/a is an integer."""
+    f, chart = u._frac, u.chart
+    field, ring = f.field, f.field.ring
+    cn, numer = f.numer.primitive()
+    cd, denom = f.denom.primitive()
+    content = Fraction(int(cn), int(cd))
+    if f.denom.is_ground and any(c % content.denominator == 0 for c in numer.itercoeffs()):
+        content = Fraction(content.numerator)
+    factors = [] if content == 1 else [(_rational(content), chart.number(content), None, None, 1)]
+    for poly, sign in ((numer, 1), (denom, -1)):
+        gcd = _common_monomial(field, poly)
+        for g, k in zip(field.symbols, gcd):
+            if k and not g.free_symbols:
+                value = _generator_value(chart, g)
+                factors.append((_power(g, sign * k), value ** (sign * k), g, value, sign * k))
+        if len(poly) == 1:
+            continue
+        monomial = Expr(chart, field.new(ring.from_dict({gcd: 1})))
+        # over a constant, what is left keeps the coefficients of u/content
+        rest = (u / content if f.denom.is_ground else Expr(chart, field.new(poly))) / monomial
+        if _is_constant(rest):
+            terms, _ = _expansion(rest)
+            if _minus_leads(terms):
+                rest, terms = -rest, [(-c, t, m) for c, t, m in terms]
+            tree = _sum_tree(terms)
+            factors.append((tree if sign == 1 else sp.Pow(tree, -1, evaluate=False),
+                            rest ** sign, tree, rest, sign))
+    return factors
+
+
+def _common_monomial(field: FracField, poly) -> tuple:
+    """The exponents of the monomial gcd of poly's terms as sympy's
+    `gcd_terms` finds it: it writes exp(t/n)^k as exp(t/q)^p with p/q = k/n
+    in lowest terms, so the terms share a power of it only where their q
+    agree."""
+    monoms = list(poly.itermonoms())
+    gcd = []
+    for i, g in enumerate(field.symbols):
+        powers = [m[i] for m in monoms]
+        n = _exp_key(g)[1].denominator
+        shared = len({n // math.gcd(k, n) for k in powers}) == 1
+        gcd.append(min(powers) if shared else 0)
+    return tuple(gcd)
+
+
+def _log(u: "Expr") -> "Expr":
+    """log(u) for a u that is positive somewhere: sympy's log expansion
+    splits off each factor of `_log_factors` with a sign, log(f*g) =
+    log(f) + log(g): a power k of an atom b that is positive gives k*log(b),
+    where log(exp(t)) is t; any other factor f of sign s gives the atom
+    log(s*f).  What is left, u over the product of the s*f, is one atom."""
+    chart = u.chart
+    if u.is_rational_constant():
+        return _log_rational(chart, u.as_fraction())
+    out, rest = chart.zero(), u
+    for tree, value, base, base_value, k in _log_factors(u):
+        sign = 1 if tree.is_positive else -1 if tree.is_negative else 0
+        if not sign:
+            continue
+        rest = rest / (sign * value)
+        if base is None:
+            out = out + _log_rational(chart, sign * value.as_fraction())
+        elif base.is_positive:
+            out = out + k * (_argument(chart, base) if _is_exp(base) else _log_atom(base_value))
+        else:
+            out = out + _log_atom(sign * value)
+    if rest != chart.one():
+        out = out + _log_atom(rest)
+    return out
 
 
 def _read(chart: Chart, tree: sp.Expr) -> "Expr":
-    """The value of a sympy tree, read as sympy.cancel reads it: expanded, so
-    an exp of a sum is a product of exps, and exp(c*t) is a power of exp(t/n)."""
+    """The value of a sympy tree: its sums, products and integer powers
+    computed in the field, and each atom built by the table."""
     def read(t):
         if t.is_Symbol:
             return chart.var(t.name)
         if t.is_Rational:
             return chart.number(t)
+        if t is sp.E:
+            return exp(chart.one())
         if t.is_Add or t.is_Mul:
             return functools.reduce(operator.add if t.is_Add else operator.mul, map(read, t.args))
+        if t.func in _TABLE:
+            return _TABLE[t.func](read(t.args[0]))
         base, k = t.as_base_exp()
-        if base is sp.E:
-            c, term = k.as_coeff_Mul(rational=True)
-            return _atom_value(chart, sp.exp(term / c.q)) ** int(c.p)
         if k.is_Integer and k != 1:
             return read(base) ** int(k)
-        if isinstance(t, (sp.sinh, sp.cosh, sp.log)):
-            return _atom_value(chart, t)
         raise NonRationalValue(_NON_RATIONAL.format(sp.sstr(t)))
 
     if tree.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise DivisionByZero(_SINGULAR)
-    if tree.has(*_ATOM_FUNCS, sp.E):
-        # sympy's Add imports sympy.tensor on its first call (about 35 ms of
-        # CPU), and values with atoms build sums: pay that with the first
-        # atom, so no later value's computation carries it.
-        import sympy.tensor.tensor  # noqa: F401
-        tree = sp.factor_terms(sp.signsimp(tree), radical=True).expand()
     return read(tree)
 
 
 @functools.cache
 def _argument(chart: Chart, atom: sp.Expr) -> "Expr":
-    """The value u of an atom exp(u), sinh(u), cosh(u) or log(u)."""
-    return chart.one() if atom is sp.E else _read(chart, atom.args[0])
-
-
-@functools.cache
-def _atom_value(chart: Chart, atom: sp.Expr) -> "Expr":
-    _argument(chart, atom)  # refuses an argument that is no value
-    field = _field(chart, frozenset({atom}))
-    return Expr(chart, field.gens[_atoms(field)[atom]])
+    """The value u of an atom exp(u), sinh(u), cosh(u) or log(u), kept since
+    the table made it."""
+    if _is_exp(atom):
+        (_, t), c = _exp_key(atom)
+        u = _EXP_TERMS[t] * c
+    else:
+        u = _ARGUMENTS[atom]
+    return u if u.chart == chart else Expr(chart, _convert(u._frac, _union(chart, u._frac.field)))
 
 
 @functools.cache
@@ -418,13 +675,11 @@ def _derivative(chart: Chart, atom: sp.Expr, coord: str) -> "Expr":
     """d atom / d coord, by the chain rule."""
     u = _argument(chart, atom)
     du = u.diff(coord)
-    if isinstance(atom, sp.sinh):
-        return du * _atom_value(chart, sp.cosh(atom.args[0]))
-    if isinstance(atom, sp.cosh):
-        return du * _atom_value(chart, sp.sinh(atom.args[0]))
+    if isinstance(atom, (sp.sinh, sp.cosh)):
+        return du * _generator_value(chart, _partner(atom))
     if isinstance(atom, sp.log):
         return du / u
-    return du * _atom_value(chart, atom)
+    return du * _generator_value(chart, atom)
 
 
 class Expr:
@@ -575,12 +830,38 @@ class Expr:
         return out
 
     def subs(self, bindings: Mapping[str, "Expr"]) -> "Expr":
-        mapping = {}
+        """The value with each bound name replaced, by composition: numerator
+        and denominator evaluated at the names' values and at each atom
+        rebuilt by the table from its argument's substitution."""
+        values = {}
         for name, value in bindings.items():
             if not self.chart.has(name):
                 raise UnknownSymbol(f"binding targets undeclared name {name!r}")
-            mapping[sp.Symbol(name)] = self._coerce(value).sym
-        return Expr(self.chart, self.sym.xreplace(mapping))
+            values[name] = self._coerce(value)
+        return _substitute(self, values)
+
+
+def _substitute(e: Expr, values: dict) -> Expr:
+    chart, f = e.chart, e._frac
+    images = []
+    for g in f.field.symbols:
+        if g.is_Symbol:
+            images.append(values.get(g.name) or chart.var(g.name))
+            continue
+        u = _argument(chart, g)
+        v = _substitute(u, values)
+        images.append(_generator_value(chart, g) if v == u
+                      else exp(v) if _is_exp(g) else _TABLE[g.func](v))
+
+    def at(poly) -> Expr:
+        return _reduced_sum(chart, [
+            (chart.number(int(c)), *(image ** k for image, k in zip(images, monom) if k))
+            for monom, c in poly.iterterms()])
+
+    denom = at(f.denom)
+    if not denom._frac:
+        raise DivisionByZero(_SINGULAR)
+    return at(f.numer) / denom
 
 
 def _field_of_products(chart: Chart, products) -> FracField:
@@ -712,27 +993,37 @@ def _one_signed(poly) -> bool:
 
 
 def exp(e: Expr) -> Expr:
-    return _read(e.chart, sp.exp(e.sym))
+    """The product of exp(c*t) over the terms c*t of e (`_exp_term`)."""
+    terms, denom = _expansion(e)
+    out = e.chart.one()
+    for c, t, m in terms:
+        out = out * _exp_term(e, c, t, m, denom)
+    return out
 
 
 def sinh(e: Expr) -> Expr:
-    return _read(e.chart, sp.sinh(e.sym))
+    return _hyperbolic(sp.sinh, e)
 
 
 def cosh(e: Expr) -> Expr:
-    return _read(e.chart, sp.cosh(e.sym))
+    return _hyperbolic(sp.cosh, e)
 
 
 def log(e: Expr) -> Expr:
-    """Logs are read on the domain where their argument is positive.  A value
-    that sympy makes complex (log(-1) = I*pi) is refused, and so is an
-    argument that is certainly positive nowhere."""
-    value = sp.log(e.sym)
-    if value.has(sp.I):
-        raise NonRealValue("the log of a negative constant is not real")
-    if _nowhere_positive(e._frac):
+    """Logs are read on the domain where their argument is positive.  A
+    negative constant, whose log is complex (log(-1) = I*pi), is refused, and
+    so is an argument that is certainly positive nowhere."""
+    if not e._frac:
+        raise DivisionByZero(_SINGULAR)
+    if _is_constant(e):
+        if e.as_fraction() < 0 if e.is_rational_constant() else e.sym.is_negative:
+            raise NonRealValue("the log of a negative constant is not real")
+    elif _nowhere_positive(e._frac):
         raise NonRealValue("the log of a value that is positive nowhere is not real")
-    return _read(e.chart, value)
+    return _log(e)
+
+
+_TABLE = {sp.exp: exp, sp.sinh: sinh, sp.cosh: cosh, sp.log: log}
 
 
 def _nowhere_positive(f: FracElement) -> bool:
@@ -878,7 +1169,7 @@ def _render_fraction(num_str: str, den_str: str) -> str:
 
 
 def _render_atom(chart: Chart, atom: sp.Expr) -> str:
-    fname = "exp" if atom is sp.E else atom.func.__name__
+    fname = "exp" if _is_exp(atom) else atom.func.__name__
     return f"{fname}({render_expr(_argument(chart, atom))})"
 
 
@@ -895,7 +1186,7 @@ def render_expr(e: Expr) -> str:
             powers = [m[i] for m in monoms if m[i]]
             if powers:
                 g = math.gcd(*powers) if _is_exp(atom) else 1
-                atoms.append((i, _render_atom(chart, atom ** g), g))
+                atoms.append((i, _render_atom(chart, _power(atom, g)), g))
         columns = names + sorted(atoms, key=lambda column: column[1])
         return _render_terms(
             [name for _, name, _ in columns],

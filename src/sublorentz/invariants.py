@@ -208,11 +208,15 @@ def _constant_two_form(ctx: FrameContext, coeffs) -> tuple[Residual, ...]:
 # -- frame transformations ----------------------------------------------------
 
 
-def hyperbolic_rotate(frame: Frame, theta: Expr) -> Frame:
-    """Y1 = X1 cosh(theta) + X2 sinh(theta), Y2 = X1 sinh(theta) + X2 cosh(theta);
-    the rotated frame is again orthonormal with Y1 timelike."""
-    ch = ex.cosh(theta)
-    sh = ex.sinh(theta)
+def hyperbolic(theta: Expr) -> tuple[Expr, Expr]:
+    """(cosh(theta), sinh(theta)), built once for each use of a rotation."""
+    return ex.cosh(theta), ex.sinh(theta)
+
+
+def hyperbolic_rotate(frame: Frame, ch: Expr, sh: Expr) -> Frame:
+    """Y1 = X1 cosh(theta) + X2 sinh(theta), Y2 = X1 sinh(theta) + X2 cosh(theta)
+    for (ch, sh) = `hyperbolic(theta)`; the rotated frame is again
+    orthonormal with Y1 timelike."""
     y1 = combine([(ch, frame.x1), (sh, frame.x2)])
     y2 = combine([(sh, frame.x1), (ch, frame.x2)])
     return Frame(frame.chart, y1, y2)
@@ -270,8 +274,7 @@ def rotated_structure_functions(sf: StructureFunctions, ctx, theta: Expr) -> Str
     d12^1 = (c12^1 - X1(th)) ch - (X2(th) + c12^2) sh
     d12^2 = (X1(th) - c12^1) sh + (X2(th) + c12^2) ch
     """
-    ch = ex.cosh(theta)
-    sh = ex.sinh(theta)
+    ch, sh = hyperbolic(theta)
     ch2 = ch * ch
     sh2 = sh * sh
     shch = sh * ch
@@ -314,7 +317,7 @@ def verify_normalizing_theta(ctx: FrameContext, theta: Expr) -> ThetaReport:
         raise ThetaInvalid("theta does not satisfy the normalizing equations", residuals)
 
     if ctx.mode == "frame":
-        rotated = hyperbolic_rotate(ctx.apparatus.frame, theta)
+        rotated = hyperbolic_rotate(ctx.apparatus.frame, *hyperbolic(theta))
         app2 = build_apparatus(rotated)
         sf2 = structure_functions(app2)
     else:

@@ -25,6 +25,7 @@ from .invariants import (
     StructureFunctions,
     dilate,
     eta_residuals,
+    hyperbolic,
     hyperbolic_rotate,
 )
 from .lie_algebra import (
@@ -221,14 +222,15 @@ def classify_report(defn: StructureDefinition) -> dict:
 def rotate_report(defn: StructureDefinition, theta: Expr) -> dict:
     frame = coordinate_frame(defn, "rotation")
     inv = _frame_context(frame).inv
-    rotated = hyperbolic_rotate(frame, theta)
+    pair = hyperbolic(theta)
+    rotated = hyperbolic_rotate(frame, *pair)
     rctx = _frame_context(rotated)
 
     residuals = {f"rotated:{k}": v for k, v in _residuals(rctx).items()}
     rinv = rctx.inv
     residuals["kappa_invariant"] = (_difference(rinv.kappa, inv.kappa),)
     residuals["chi_invariant"] = (_difference(rinv.chi, inv.chi),)
-    residuals["h_tilde_conjugation"] = _conjugation_residuals(inv, rinv, theta)
+    residuals["h_tilde_conjugation"] = _conjugation_residuals(inv, rinv, *pair)
     body = {
         "theta": render_expr(theta),
         "frame": _frame_block(frame),
@@ -245,13 +247,13 @@ def _difference(e: Expr, *product: Expr) -> Residual:
     return Residual(e.chart, [(e,), (-first, *rest)])
 
 
-def _conjugation_residuals(inv: Invariants, rinv: Invariants, theta: Expr) -> list[Residual]:
-    """Entries of h_tilde(rotated) - M(theta)^-1 h_tilde M(theta)."""
-    (ch_, sh_) = (ex.cosh(theta), ex.sinh(theta))
+def _conjugation_residuals(inv: Invariants, rinv: Invariants, ch_: Expr, sh_: Expr) -> list[Residual]:
+    """Entries of h_tilde(rotated) - M(theta)^-1 h_tilde M(theta), for the
+    (cosh(theta), sinh(theta)) of the rotation."""
     m = ((ch_, sh_), (sh_, ch_))
     minv = ((ch_, -sh_), (-sh_, ch_))  # det = cosh^2 - sinh^2 = 1
     h = inv.h_tilde
-    return [Residual(theta.chart, [(rinv.h_tilde[i][j],)]
+    return [Residual(ch_.chart, [(rinv.h_tilde[i][j],)]
                      + [(-minv[i][k], h[k][l], m[l][j]) for k in range(2) for l in range(2)])
             for i in range(2) for j in range(2)]
 

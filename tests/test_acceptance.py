@@ -25,6 +25,7 @@ from sublorentz.invariants import (
     compute_invariants,
     dilate,
     eta_residuals,
+    hyperbolic,
     hyperbolic_rotate,
     structure_functions,
 )
@@ -289,7 +290,7 @@ def test_criterion_05b_rotation_invariance(martinet_frame, heisenberg_frame):
         theta = random_theta(rng, CH)
         frame = fixtures[i % 2]
         inv0 = originals[i % 2]
-        rotated = build_apparatus(hyperbolic_rotate(frame, theta))
+        rotated = build_apparatus(hyperbolic_rotate(frame, *hyperbolic(theta)))
         rctx = FrameContext(rotated)
         inv1 = compute_invariants(rctx.sf, rctx)
         assert tri_ok((inv1.kappa - inv0.kappa).is_zero()), f"kappa case {i}"

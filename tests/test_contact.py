@@ -8,7 +8,7 @@ from sublorentz.calculus import combine, evaluate, exterior_derivative, wedge
 from sublorentz.contact import Frame, apparatus_residuals, build_apparatus
 from sublorentz.errors import DegenerateFrame
 from sublorentz.expr import Chart, Tri, all_zero
-from sublorentz.invariants import hyperbolic_rotate
+from sublorentz.invariants import hyperbolic, hyperbolic_rotate
 from sublorentz.parsing import parse_expr, parse_field, render_expr
 
 from .randgen import random_frame, random_theta
@@ -96,7 +96,7 @@ class TestApparatusInvariants:
             rng = random.Random(7070)
             frame = [random_frame(rng, CH) for _ in range(3)][int(fixture[-1])]
         elif fixture == "martinet_rotated":
-            frame = hyperbolic_rotate(request.getfixturevalue("martinet_frame"), exp_("x*y"))
+            frame = hyperbolic_rotate(request.getfixturevalue("martinet_frame"), *hyperbolic(exp_("x*y")))
         else:
             frame = request.getfixturevalue(fixture)
         checks = apparatus_residuals(build_apparatus(frame))
@@ -109,7 +109,7 @@ class TestApparatusInvariants:
         app = build_apparatus(martinet_frame)
         for _ in range(3):
             theta = random_theta(rng, CH)
-            rotated = build_apparatus(hyperbolic_rotate(martinet_frame, theta))
+            rotated = build_apparatus(hyperbolic_rotate(martinet_frame, *hyperbolic(theta)))
             one = CH.one()
             assert all_zero(combine([(one, rotated.omega), (-one, app.omega)]).components) is Tri.TRUE
             assert all_zero(combine([(one, rotated.x0), (-one, app.x0)]).components) is Tri.TRUE

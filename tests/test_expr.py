@@ -25,7 +25,7 @@ from sublorentz.expr import Chart, Expr, Tri, render_expr
 from sublorentz.parsing import parse_expr, parse_structure_file, render_field
 from sublorentz.report import analyze_definition
 
-from .randgen import random_frame
+from .randgen import random_frame, random_polynomial
 
 
 CH = Chart(("x", "y", "z"), ("k", "t", "u"))
@@ -936,3 +936,100 @@ def test_only_the_kernel_knows_the_representation():
             if isinstance(node, ast.Attribute) and node.attr == "sym":
                 offenders.append(f"{path.name}:{node.lineno} reads .sym")
     assert offenders == []
+
+
+# -- the atom table -------------------------------------------------------------
+
+
+def _read_as_before(chart, tree):
+    """The tree the kernel once read an atom from: sympy's evaluation of the
+    function, then `signsimp`, `factor_terms` and `expand`."""
+    return sp.factor_terms(sp.signsimp(tree), radical=True).expand()
+
+
+def _atom_texts(tree):
+    """The text of each sinh, cosh and log in `tree`, nested ones too, and
+    the term t of each exp(c*t) with a rational c: the generators a value
+    with these atoms lives on."""
+    texts = {str(a) for a in tree.atoms(sp.sinh, sp.cosh, sp.log)}
+    exps = tree.atoms(sp.exp) | ({sp.S.One} if tree.has(sp.E) else set())
+    return texts | {"exp " + str(a.args[0].as_coeff_Mul(rational=True)[1] if a.args else a)
+                    for a in exps}
+
+
+@st.composite
+def atom_arguments(draw):
+    """u drawn with the acceptance generators: a polynomial with mixed signs
+    (ties in the sign count among them), perhaps plus a rational constant
+    and an exp or log term."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    u = random_polynomial(rng, CH, max_terms=3, max_degree=2, max_coeff=4)
+    if draw(st.booleans()):
+        u = u + num(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    extra = draw(st.sampled_from([None, ex.exp, ex.log]))
+    if extra is not None:
+        p = random_polynomial(rng, CH, max_terms=2, max_degree=2, allow_zero=False)
+        u = u + rng.choice([1, -2, Fraction(1, 2)]) * extra(p if extra is ex.exp else p ** 2 + 1)
+    return u
+
+
+@given(atom_arguments())
+@example(var("x") - var("y") - var("z"))
+@example(var("x") - var("y"))
+@example(var("y") - var("x"))
+@example(3 * var("z") - 3 * var("z") ** 2)
+@example(3 - 2 * var("z"))
+@example(var("y") - var("x") ** 2)
+@example(var("z") - var("x"))
+@example(parse_expr("-4*x + 20/3", CH))
+@example(parse_expr("x/2 - 4*x*exp(2)", CH))
+def test_atom_table_is_the_evaluation_it_replaced(u):
+    """Oracle for the atom table: for each function f, f(u) is the value the
+    kernel once read from sympy's f(u.sym), with the same atoms, wherever both
+    are defined.  The atoms are compared by their text, which orders the
+    generators and carries the sign rule: cosh(x - y - z) is
+    cosh(-x + y + z)."""
+    for name in ("exp", "sinh", "cosh", "log"):
+        try:
+            value = getattr(ex, name)(u)
+        except EngineError:
+            continue
+        tree = getattr(sp, name)(u.sym)
+        if tree.has(sp.I):
+            continue
+        before = _read_as_before(CH, tree)
+        assert value == Expr(CH, before), name
+        assert _atom_texts(value.sym) == _atom_texts(before), name
+
+
+def test_cosh_of_more_negative_terms_is_written_negated():
+    u = parse_expr("x - y - z", CH)
+    assert render_expr(ex.cosh(u)) == "cosh(-x + y + z)"
+    assert render_expr(ex.sinh(u)) == "-sinh(-x + y + z)"
+
+
+def test_parsed_and_read_atoms_are_one_value():
+    """An atom parsed from text and one read from a sympy tree are built by
+    the one table: log(exp(x-1)^2+1) is one value either way."""
+    parsed = parse_expr("log(exp(x-1)^2+1)", CH)
+    read = Expr(CH, sp.log(sp.exp(-2) * sp.exp(2 * sp.Symbol("x")) + 1))
+    assert parsed == read
+    assert (parsed - read).is_zero() is Tri.TRUE
+
+
+def test_atom_commands_do_not_load_sympy_tensor(tmp_path):
+    """The atom table evaluates no sympy sum, so neither a rotation nor an
+    `analyze` with exp and log atoms imports `sympy.tensor`."""
+    path = tmp_path / "frame.toml"
+    path.write_text("[frame]\nX1 = d/dx\nX2 = d/dy + (x*exp(y) + log(1 + y^2))*d/dz\n")
+    program = (
+        "import sys\n"
+        "from sublorentz.cli import main\n"
+        "assert main(sys.argv[1:] + ['--format', 'json']) == 0\n"
+        "print('sympy.tensor.tensor' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for argv in (["rotate", "heisenberg", "--theta", "x*y + z"], ["analyze", str(path)]):
+        done = subprocess.run([sys.executable, "-c", program, *argv], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert done.stdout.rsplit("\n", 2)[1] == "False", argv

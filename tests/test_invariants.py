@@ -16,6 +16,7 @@ from sublorentz.invariants import (
     compute_invariants,
     dilate,
     eta_residuals,
+    hyperbolic,
     hyperbolic_rotate,
     rotated_structure_functions,
     structure_functions,
@@ -117,7 +118,7 @@ def _oracle_frames(martinet_frame, heisenberg_frame):
     a seeded random theta, which puts cosh and sinh in their brackets."""
     rng = random.Random(20240)
     frames = [random_frame(rng, CH) for _ in range(10)]
-    return frames + [hyperbolic_rotate(f, random_theta(rng, CH))
+    return frames + [hyperbolic_rotate(f, *hyperbolic(random_theta(rng, CH)))
                      for f in (martinet_frame, heisenberg_frame)]
 
 
@@ -219,14 +220,14 @@ class TestFrameContextVerdicts:
 
 class TestHyperbolicRotation:
     def test_zero_angle_identity(self, martinet_frame):
-        rotated = hyperbolic_rotate(martinet_frame, CH.zero())
+        rotated = hyperbolic_rotate(martinet_frame, *hyperbolic(CH.zero()))
         one = CH.one()
         assert all_zero(combine([(one, rotated.x1), (-one, martinet_frame.x1)]).components) is Tri.TRUE
         assert all_zero(combine([(one, rotated.x2), (-one, martinet_frame.x2)]).components) is Tri.TRUE
 
     def test_heisenberg_xy_rotation_kappa_still_zero(self, heisenberg_frame):
         theta = exp_("x*y")
-        app = build_apparatus(hyperbolic_rotate(heisenberg_frame, theta))
+        app = build_apparatus(hyperbolic_rotate(heisenberg_frame, *hyperbolic(theta)))
         ctx = FrameContext(app)
         inv = compute_invariants(ctx.sf, ctx)
         assert inv.kappa.is_zero() is Tri.TRUE
@@ -241,7 +242,7 @@ class TestHyperbolicRotation:
         for _ in range(2):
             theta = random_theta(rng, CH)
             via_formula = rotated_structure_functions(ctx.sf, ctx, theta)
-            direct = structure_functions(build_apparatus(hyperbolic_rotate(frame, theta)))
+            direct = structure_functions(build_apparatus(hyperbolic_rotate(frame, *hyperbolic(theta))))
             for key, value in direct.as_dict().items():
                 assert (value - getattr(via_formula, key)).is_zero() is Tri.TRUE, key
 

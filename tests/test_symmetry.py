@@ -10,7 +10,7 @@ from sublorentz.calculus import combine, lie_bracket
 from sublorentz.contact import Frame, build_apparatus
 from sublorentz.errors import DistributionNotPreserved, UnknownSymbol
 from sublorentz.expr import Chart, Residual, Tri, all_zero
-from sublorentz.invariants import FrameContext, compute_invariants, hyperbolic_rotate
+from sublorentz.invariants import FrameContext, compute_invariants, hyperbolic, hyperbolic_rotate
 from sublorentz.parsing import parse_expr, parse_field, parse_structure_file, render_expr
 from sublorentz.symmetry import (
     Candidate,
@@ -37,12 +37,12 @@ UNDECIDED = "(sinh(2*x) - 2*sinh(x)*cosh(x))*z*d/dx"
 
 @pytest.fixture(scope="module")
 def martinet_rotated_frame(martinet_frame):
-    return hyperbolic_rotate(martinet_frame, parse_expr("x*y", CH))
+    return hyperbolic_rotate(martinet_frame, *hyperbolic(parse_expr("x*y", CH)))
 
 
 @pytest.fixture(scope="module")
 def heisenberg_rotated_frame(heisenberg_frame):
-    return hyperbolic_rotate(heisenberg_frame, parse_expr("x*y", CH))
+    return hyperbolic_rotate(heisenberg_frame, *hyperbolic(parse_expr("x*y", CH)))
 
 
 class TestPreservesDistribution:
