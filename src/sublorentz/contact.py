@@ -40,7 +40,7 @@ states residuals; `report` decides them.  The excluded loci are factored by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calculus import (
     DifferentialForm,
@@ -81,7 +81,6 @@ class ContactApparatus:
     b: Expr  # -w([X1,B]), its X2 coefficient
     brackets: tuple[VectorField, VectorField]  # [X1,B] and [X2,B], B = [X2,X1]
     contact_det: Expr
-    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def chart(self) -> Chart:
@@ -99,14 +98,6 @@ class ContactApparatus:
     def marked_fields(self) -> tuple[VectorField, VectorField, VectorField]:
         """(X0, X1, X2) in coframe order."""
         return (self.x0, self.frame.x1, self.frame.x2)
-
-    def gradient(self, f: Expr) -> tuple[Expr, Expr, Expr]:
-        """The partial derivatives of f, taken once per value: the structure
-        functions and kappa both differentiate a and b."""
-        grad = self._partials.get(f)
-        if grad is None:
-            grad = self._partials[f] = tuple(f.diff(c) for c in self.chart.coords)
-        return grad
 
 
 def build_apparatus(frame: Frame) -> ContactApparatus:

@@ -26,7 +26,8 @@ g1 = gcd(n1, d2) and g2 = gcd(n2, d1); a quotient is a product by d2/n2; a
 sum over d = gcd(d1, d2) has numerator t = n1*(d2/d) + n2*(d1/d), and only
 e = gcd(t, d) can cancel, leaving (t/e)/((d1/d)*(d2/e)).  With d = g*q and
 d' = g*r, g = gcd(d, d'), the derivative is (n'*q - n*r)/(g*q^2), and only g
-can share a factor with its numerator.  A gcd with 1 is skipped.  `dot`
+can share a factor with its numerator.  A gcd with 1 is skipped.  A value
+keeps each partial it takes (`Expr.diff`), so none is taken twice.  `dot`
 sums products unreduced, over one denominator per distinct denominator, and
 cancels the total once.
 
@@ -687,7 +688,7 @@ class Expr:
     a sympy tree: one element of a `_field`, in the form the module
     docstring describes."""
 
-    __slots__ = ("chart", "_frac")
+    __slots__ = ("chart", "_frac", "_partials")
 
     def __init__(self, chart: Chart, value):
         if not isinstance(value, FracElement):
@@ -816,9 +817,16 @@ class Expr:
 
     def diff(self, coord: str) -> "Expr":
         """d/d coord: the partial derivative in the coordinate, plus, by the
-        chain rule, the partial in each atom times the atom's derivative."""
+        chain rule, the partial in each atom times the atom's derivative.
+        The value keeps each partial it takes, so none is taken twice."""
         if coord in self.chart.params:
             return self.chart.zero()
+        try:
+            return self._partials[coord]
+        except AttributeError:  # the slot fills on the first partial
+            object.__setattr__(self, "_partials", {})
+        except KeyError:
+            pass
         if coord not in self.chart.coords:
             raise UnknownSymbol(f"not a chart coordinate: {coord!r}")
         f = self._frac
@@ -827,6 +835,7 @@ class Expr:
             d_atom = _derivative(self.chart, atom, coord)
             if d_atom._frac:
                 out = out + Expr(self.chart, _diff(f, i)) * d_atom
+        self._partials[coord] = out
         return out
 
     def subs(self, bindings: Mapping[str, "Expr"]) -> "Expr":

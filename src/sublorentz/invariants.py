@@ -108,12 +108,11 @@ class FrameContext:
         return classify(self)
 
     def derive(self, i: int, f: Expr) -> Expr:
-        """The i-th marked field's derivative of f, from the apparatus's
-        partials of f."""
+        """The i-th marked field's derivative X_i(f), zero for constant
+        structure functions."""
         if self.apparatus is None:
             return self.chart.zero()
-        field = self.apparatus.marked_fields[i]
-        return dot(zip(field.components, self.apparatus.gradient(f)))
+        return self.apparatus.marked_fields[i](f)
 
 
 # -- structure functions ------------------------------------------------------
@@ -125,11 +124,11 @@ def structure_functions(app: ContactApparatus) -> StructureFunctions:
     no bracket with the Reeb field X0."""
     x1, x2 = app.frame.fields
     mus = (app.mu1.components, app.mu2.components)
-    grads = (app.gradient(app.a), app.gradient(app.b))
+    cs = (app.a, app.b)
 
     def c0(field: VectorField, bracket: VectorField, i: int) -> Expr:
         return dot(list(zip(mus[i], bracket.components))
-                   + [(-c, d) for c, d in zip(field.components, grads[i])])
+                   + [(-f, cs[i].diff(q)) for f, q in zip(field.components, app.chart.coords)])
 
     b1, b2 = app.brackets
     return StructureFunctions(c0(x1, b1, 0), c0(x1, b1, 1), c0(x2, b2, 0), c0(x2, b2, 1),

@@ -201,13 +201,22 @@ def killing_invariance_residuals(L: LieAlgebra, T: Sequence[Sequence[Expr]]) -> 
 # -- marked bases ---------------------------------------------------------------
 
 
+def marked_algebra(c: Mapping[str, Expr]) -> LieAlgebra:
+    """The brackets on (X0, X1, X2) that the six constants of
+    `StructureFunctions.as_dict` state; where they form a Lie algebra, its
+    marking (X1, X2) has these constants."""
+    return algebra_from_brackets(c["c011"].chart, ("X0", "X1", "X2"), {
+        (1, 0): {1: c["c011"], 2: c["c012"]}, (2, 0): {1: c["c021"], 2: c["c022"]},
+        (2, 1): {0: 1, 1: c["c121"], 2: c["c122"]}})
+
+
 def structure_functions_of_marking(L: LieAlgebra, x1: Sequence[Expr],
                                    x2: Sequence[Expr]) -> StructureFunctions:
     """The six structure functions of the marking (X1, X2), by `contact`'s
     formulas with every derivative zero: with B = [X2,X1], (mu1, mu2, w) are
     the columns of the inverse of the rows (X1, X2, B), c12^1 = w([X2,B]),
-    c12^2 = -w([X1,B]) and c0j^i = mu_i([Xj,B]).  The frame context that
-    reads them validates their trace."""
+    c12^2 = -w([X1,B]) and c0j^i = mu_i([Xj,B]).  The report's
+    `trace_identity` check decides their trace."""
     b = L.bracket_of(x2, x1)
     _, inv = invert3([x1, x2, b])
     mu1, mu2, omega = ([row[k] for row in inv] for k in range(3))

@@ -11,19 +11,21 @@ Structure files are sectioned key = value text ([chart], [params], [frame] or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import expr as ex
 from .calculus import VectorField
 from .errors import (
     DuplicateMode,
+    EngineError,
     ExprSyntaxError,
     MissingSection,
     TraceViolation,
     UnknownSymbol,
 )
 from .expr import Chart, Expr, Tri, join_terms, render_expr
+from .lie_algebra import jacobi_residuals, marked_algebra
 
 _FUNCS = {"exp": ex.exp, "sinh": ex.sinh, "cosh": ex.cosh, "log": ex.log}
 
@@ -294,6 +296,9 @@ def render_field(v: VectorField) -> str:
 
 STRUCTURE_KEYS = ("c011", "c012", "c021", "c022", "c121", "c122")
 
+# The components of the Jacobi identity of the constants, by X0, X1 and X2.
+JACOBI_COMPONENTS = ("c01^1 + c02^2", "c02^2*c12^1 - c02^1*c12^2", "c01^1*c12^2 - c01^2*c12^1")
+
 
 @dataclass
 class StructureDefinition:
@@ -394,9 +399,13 @@ def parse_structure_file(text: str, source_name: str = "<memory>") -> StructureD
             consts[key] = parse_expr(value, const_chart, line=lineno, column=col)
         for key in STRUCTURE_KEYS:
             consts.setdefault(key, const_chart.zero())
-        # Outside input: for a frame or a catalog marking the identity is a theorem.
-        if (consts["c011"] + consts["c022"]).is_zero() is Tri.FALSE:
-            raise TraceViolation("c01^1 + c02^2 does not vanish")
+        # Outside input: for a frame or a catalog marking Jacobi is a theorem.
+        verdicts = [r.is_zero() for r in jacobi_residuals(marked_algebra(consts))]
+        if verdicts[0] is Tri.FALSE:
+            raise TraceViolation(f"{JACOBI_COMPONENTS[0]} does not vanish")
+        if Tri.FALSE in verdicts:
+            component = JACOBI_COMPONENTS[verdicts.index(Tri.FALSE)]
+            raise EngineError(f"the constants form no Lie algebra: {component} does not vanish")
         defn = StructureDefinition(const_chart, "algebra", structure_constants=consts,
                                    source_name=source_name)
 

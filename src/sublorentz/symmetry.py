@@ -217,30 +217,11 @@ def momenta_to_frame(app: ContactApparatus, P: Expr) -> Expr:
 
 def quadratic_frame_matrix(app: ContactApparatus, P: Expr):
     """Coefficients q_ab of a homogeneous quadratic fiber polynomial in the
-    frame momenta (h0, h1, h2), extracted by polarization against the dual
-    coframe: h_a evaluates to delta_ab on the covector nu_b, so
-    q_ab = (P(nu_a + nu_b) - P(nu_a) - P(nu_b)) / 2 with q_aa = P(nu_a).
-
-    The coframe rows share the frame determinant as common denominator, so the
-    substitution uses the fraction-free rows det * nu_a and divides by det^2
-    once at the end (P is homogeneous of degree 2)."""
-    phase = P.chart
-    det = -app.contact_det  # det(X0, X1, X2)
-    det2 = (det * det).lift(phase)
-
-    def at_covector(w) -> Expr:
-        return P.subs({_momentum(q): c for q, c in zip(app.chart.coords, w)})
-
-    covs = [tuple((det * c).lift(phase) for c in f.components) for f in app.coframe]
-    diag = [at_covector(w) for w in covs]
-    q = [[phase.zero() for _ in range(3)] for _ in range(3)]
-    half = phase.one() / 2
-    for a in range(3):
-        q[a][a] = diag[a] / det2
-        for b in range(a + 1, 3):
-            both = at_covector(tuple(u + v for u, v in zip(covs[a], covs[b])))
-            q[a][b] = q[b][a] = (both - diag[a] - diag[b]) * half / det2
-    return tuple(tuple(row) for row in q)
+    frame momenta (h0, h1, h2), read off its re-expression
+    Q = `momenta_to_frame(app, P)` as q_ab = 1/2 d^2 Q / dH_a dH_b."""
+    Q = momenta_to_frame(app, P)
+    half = P.chart.one() / 2
+    return tuple(tuple(Q.diff(a).diff(b) * half for b in FRAME_MOMENTA) for a in FRAME_MOMENTA)
 
 
 def vertical_form_residual(app: ContactApparatus, sf: StructureFunctions) -> Residual:

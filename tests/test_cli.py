@@ -281,6 +281,14 @@ class TestCatalogAndErrors:
     @pytest.mark.parametrize("text, message", [
         ("[algebra]\nc011 = 1\n", "c01^1 + c02^2 does not vanish"),
         ("[chart]\ncoords = a, b\n[algebra]\n", "[chart] requires a coordinate frame"),
+        # Constants that break the Jacobi identity in X1 or X2 form no Lie algebra.
+        ("[algebra]\nc012 = 1\nc021 = 1\nc122 = 1\n",
+         "the constants form no Lie algebra: c02^2*c12^1 - c02^1*c12^2 does not vanish"),
+        ("[algebra]\nc012 = 1\nc121 = 1\n",
+         "the constants form no Lie algebra: c01^1*c12^2 - c01^2*c12^1 does not vanish"),
+        # An algebra only at t = 0 is decided FALSE for a generic t.
+        ("[params]\nnames = t\n[algebra]\nc012 = t\nc121 = 1\n",
+         "the constants form no Lie algebra: c01^1*c12^2 - c01^2*c12^1 does not vanish"),
     ])
     def test_bad_algebra_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "algebra.toml"
@@ -319,6 +327,27 @@ class TestCatalogAndErrors:
         assert "  witness:\n    direction: X1-X2\n    coefficients: [1, -1]\n" in out
         code, report, _ = run_json(capsys, "classify", str(path))
         assert report["classification"]["witness"]["coefficients"] == [1, -1]
+
+
+FRAME = "[frame]\nX1 = d/dx\nX2 = d/dy + x*d/dz\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("X1 = d/dx\n" + FRAME, "content before any section header (line 1, column 1)"),
+    (FRAME + "[frame]\n", "duplicate section [frame] (line 4, column 1)"),
+    ("[chart]\nk = x\n" + FRAME, "unknown chart key 'k' (line 2, column 1)"),
+    ("[params]\nk = s\n" + FRAME, "unknown params key 'k' (line 2, column 1)"),
+    (FRAME + "X3 = d/dz\n", "unknown frame key 'X3' (line 4, column 1)"),
+    ("[frame]\nX1 = d/dx\n", "[frame] must define X1 and X2"),
+    ("[algebra]\n[symmetry]\nZ = d/dx\n", "[symmetry] requires a coordinate frame (line 3, column 1)"),
+    ("[frame]\nX1 = d/dx\nX2 = d/dy + x^y*d/dz\n", "integer exponent expected (line 3, column 14)"),
+])
+def test_structure_file_refusal(capsys, tmp_path, text, message):
+    """Each refusal of a structure file is an input error: exit 3 and one
+    named `error:` line."""
+    path = tmp_path / "structure.txt"
+    path.write_text(text)
+    assert run_cli(capsys, "analyze", str(path)) == (3, "", f"error: {message}\n")
 
 
 def nest(inner: str, levels: int = 3000) -> str:
@@ -384,6 +413,35 @@ class TestUnexpectedFailure:
         monkeypatch.setattr(cli, "analyze_definition", interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["analyze", "martinet"])
+
+
+class TestFailingCheck:
+    """A check family decided nonzero fails the report with exit 1.  No valid
+    input reaches that, since each check states a theorem, so a family whose
+    residual is the constant 1 stands in for a wrong formula."""
+
+    @pytest.fixture(autouse=True)
+    def failing_family(self, monkeypatch):
+        residuals = report_module._residuals
+
+        def with_failure(ctx):
+            families = residuals(ctx)
+            families["forced"] = (expr.Residual(ctx.chart, [], 1),)
+            return families
+
+        monkeypatch.setattr(report_module, "_residuals", with_failure)
+
+    def test_text(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "martinet")
+        assert (code, err) == (1, "")
+        assert "  forced: fail\n" in out
+        assert out.endswith("\nstatus: fail\n")
+
+    def test_json(self, capsys):
+        code, report, err = run_json(capsys, "analyze", "martinet")
+        assert (code, err) == (1, "")
+        assert report["checks"]["forced"] == "fail"
+        assert report["status"] == "fail"
 
 
 class TestNestingLimit:

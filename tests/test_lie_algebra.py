@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, strategies as st
 
+from sublorentz.builtins import STRUCTURE_FILES
 from sublorentz.errors import DegenerateFrame, UnknownCatalogName
 from sublorentz.expr import Chart, Tri, all_zero
 from sublorentz.invariants import FrameContext, classify, compute_invariants
@@ -23,10 +24,11 @@ from sublorentz.lie_algebra import (
     jacobi_residuals,
     killing_form,
     killing_invariance_residuals,
+    marked_algebra,
     structure_functions_of_marking,
     CONFORMAL8_LABELS,
 )
-from sublorentz.parsing import render_expr
+from sublorentz.parsing import parse_structure_file, render_expr
 
 K = PARAM_CHART
 KAPPA = K.var("kappa")
@@ -223,6 +225,19 @@ class TestConstantModeInvariants:
                 assert all_zero(residuals) is Tri.TRUE
 
         check()
+
+    @pytest.mark.parametrize("text", [
+        *(pytest.param(text, id=name) for name, text in STRUCTURE_FILES.items()
+          if "[algebra]" in text),
+        pytest.param("[algebra]\nc011 = 1\nc022 = -1\nc021 = 1\nc012 = -1\n", id="null_kernel"),
+    ])
+    def test_marking_gives_back_the_constants(self, text):
+        """An [algebra] file is the algebra of its brackets on (X0, X1, X2),
+        and the marking (X1, X2) of it has the file's six constants."""
+        consts = parse_structure_file(text).structure_constants
+        L = marked_algebra(consts)
+        sf = structure_functions_of_marking(L, L.basis_vector(1), L.basis_vector(2))
+        assert sf.as_dict() == consts
 
     @pytest.mark.parametrize("name", MARKED)
     def test_boost_keeps_chi_kappa_and_label(self, name):

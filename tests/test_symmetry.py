@@ -207,7 +207,7 @@ class TestPoissonBracket:
 class TestFrameMomenta:
     def test_martinet_reexpression(self, martinet_frame):
         """{h, h0} on the degenerate-surface fixture equals (1/y^2) h1 h2 in
-        frame momenta, via both the matrix-inversion route and polarization."""
+        frame momenta, and its quadratic form has the one entry 1/(2*y^2)."""
         from sublorentz.symmetry import momenta_to_frame, quadratic_frame_matrix
 
         app = build_apparatus(martinet_frame)
