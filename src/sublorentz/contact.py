@@ -30,10 +30,10 @@ c0j^i = mu_i([Xj,B]) - Xj(c12^i), one `dot` per function
 
 The Reeb components of the structure brackets need no check:
 w([Xi,X0]) = -dw(Xi,X0) = 0 and w([X2,X1]) = w(B) = 1 hold by construction,
-and the residuals of dw(X0,Xi) = 0 and dw(X1,X2) = 1 in `apparatus_residuals`,
-the one place that takes dw, verify them.  dw enters them through the
-partials of w, unexpanded, which keeps them free of gcds; the other checks
-are `pairing`s, and X0, nu1 and nu2 are each one `combine`.  This module only
+and the residuals of dw(X0,Xi) = 0 and dw(X1,X2) = 1 in `apparatus_residuals`
+verify them.  There dw is taken once, by the calculus's `exterior_derivative`,
+and every dw check is a `pairing` of it, as are the checks on w and the
+coframe; X0, nu1 and nu2 are each one `combine`.  This module only
 states residuals; `report` decides them.  The excluded loci are factored by
 `excluded_loci`, which only the report block that prints them calls.
 """
@@ -47,6 +47,7 @@ from .calculus import (
     VectorField,
     combine,
     evaluate,
+    exterior_derivative,
     invert3,
     lie_bracket,
     one_form,
@@ -124,38 +125,26 @@ def excluded_loci(app: ContactApparatus) -> tuple[Expr, ...]:
     return vanishing_loci(app.chart, [app.contact_det] + [c.denominator() for c in components])
 
 
-def _dw(partials, X: VectorField, Y: VectorField) -> list[tuple[Expr, ...]]:
-    """dw(X, Y) as products: sum over i != j of d_i w_j (X_i Y_j - X_j Y_i)."""
-    x, y = X.components, Y.components
-    return [term for (i, j), d in partials.items()
-            for term in ((d, x[i], y[j]), (-d, x[j], y[i]))]
-
-
 def apparatus_residuals(app: ContactApparatus) -> dict[str, tuple[Residual, ...]]:
     """The defining identities of the apparatus, each as the residuals that
-    must vanish, kept unreduced.  dw enters through the partials d_i w_j with
-    i != j."""
-    chart = app.chart
-    fields = app.marked_fields
-    x0, x1, x2 = fields
-    coords = chart.coords
-    partials = {(i, j): app.omega.components[j].diff(coords[i])
-                for i in range(3) for j in range(3) if i != j}
+    must vanish, kept unreduced.  dw is taken once, and every dw check is a
+    `pairing` of it."""
+    x0, x1, x2 = fields = app.marked_fields
+    dw = exterior_derivative(app.omega)
     nu1, nu2 = app.nu1.components, app.nu2.components
     return {
         "omega(X1)=0": (pairing(app.omega, [x1]),),
         "omega(X2)=0": (pairing(app.omega, [x2]),),
         "omega(X0)=1": (pairing(app.omega, [x0], -1),),
-        "dw(X1,X2)=1": (Residual(chart, _dw(partials, x1, x2), -1),),
-        "dw(X0,X1)=0": (Residual(chart, _dw(partials, x0, x1)),),
-        "dw(X0,X2)=0": (Residual(chart, _dw(partials, x0, x2)),),
+        "dw(X1,X2)=1": (pairing(dw, [x1, x2], -1),),
+        "dw(X0,X1)=0": (pairing(dw, [x0, x1]),),
+        "dw(X0,X2)=0": (pairing(dw, [x0, x2]),),
         "<nu_i,X_j>=delta_ij": tuple(
             pairing(nu, [X], -1 if i == j else 0)
             for i, nu in enumerate(app.coframe) for j, X in enumerate(fields)
         ),
         "dnu0=nu1^nu2": tuple(
-            Residual(chart, [(partials[i, j],), (-partials[j, i],),
-                             (-nu1[i], nu2[j]), (nu1[j], nu2[i])])
-            for i, j in ((0, 1), (0, 2), (1, 2))
+            Residual(app.chart, [(d,), (-nu1[i], nu2[j]), (nu1[j], nu2[i])])
+            for (i, j), d in zip(((0, 1), (0, 2), (1, 2)), dw.components)
         ),
     }

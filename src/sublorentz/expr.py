@@ -1121,15 +1121,12 @@ def _sort_key(e: Expr) -> tuple:
 
 
 def _render_terms(names, terms) -> str:
-    """A polynomial from (monomial, coefficient) pairs over the generators
-    `names`, highest monomial first in lex order of `names`."""
+    """A polynomial from (monomial, integer coefficient) pairs over the
+    generators `names`, highest monomial first in lex order of `names`."""
     terms = sorted(terms, key=lambda t: tuple(-k for k in t[0]))
     if not terms:
         return "0"
-    return join_terms(
-        _render_term(names, monom, Fraction(int(c.numerator), int(c.denominator)))
-        for monom, c in terms
-    )
+    return join_terms(_render_term(names, monom, int(c)) for monom, c in terms)
 
 
 def join_terms(terms: Iterable[str]) -> str:
@@ -1138,26 +1135,14 @@ def join_terms(terms: Iterable[str]) -> str:
     return first + "".join(" - " + t[1:] if t.startswith("-") else " + " + t for t in rest)
 
 
-def _render_rational(q) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _render_term(names, monom, coeff: Fraction) -> str:
+def _render_term(names, monom, coeff: int) -> str:
     factors = [name + (f"^{k}" if k > 1 else "") for name, k in zip(names, monom) if k > 0]
     mon = "*".join(factors)
     if not mon:
-        return _render_rational(coeff)
-    sign = "-" if coeff < 0 else ""
-    c = abs(coeff)
-    if c == 1:
-        return sign + mon
-    if c.denominator == 1:
-        return f"{sign}{c.numerator}*{mon}"
-    if c.numerator == 1:
-        return f"{sign}{mon}/{c.denominator}"
-    return f"{sign}({c.numerator}/{c.denominator})*{mon}"
+        return str(coeff)
+    if abs(coeff) == 1:
+        return ("-" if coeff < 0 else "") + mon
+    return f"{coeff}*{mon}"
 
 
 def _is_atomic_string(s: str) -> bool:

@@ -15,7 +15,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from sublorentz import calculus, cli, contact, expr, invariants, lie_algebra, ode_bridge, symmetry
+from sublorentz import builtins, calculus, cli, contact, expr, invariants, lie_algebra, ode_bridge, symmetry
 from sublorentz import report as report_module
 from sublorentz.cli import main
 from sublorentz.errors import EngineError
@@ -341,6 +341,8 @@ FRAME = "[frame]\nX1 = d/dx\nX2 = d/dy + x*d/dz\n"
     ("[frame]\nX1 = d/dx\n", "[frame] must define X1 and X2"),
     ("[algebra]\n[symmetry]\nZ = d/dx\n", "[symmetry] requires a coordinate frame (line 3, column 1)"),
     ("[frame]\nX1 = d/dx\nX2 = d/dy + x^y*d/dz\n", "integer exponent expected (line 3, column 14)"),
+    (FRAME + "X3 d/dz\n", "expected key = value (line 4, column 1)"),
+    ("[algebra]\nc012 = (1\n", "expected ')', found 'end of input' (line 2, column 9)"),
 ])
 def test_structure_file_refusal(capsys, tmp_path, text, message):
     """Each refusal of a structure file is an input error: exit 3 and one
@@ -348,6 +350,12 @@ def test_structure_file_refusal(capsys, tmp_path, text, message):
     path = tmp_path / "structure.txt"
     path.write_text(text)
     assert run_cli(capsys, "analyze", str(path)) == (3, "", f"error: {message}\n")
+
+
+def test_expression_position_after_a_newline(capsys):
+    """A newline inside an expression starts a new line of the position."""
+    assert run_cli(capsys, "rotate", "heisenberg", "--theta", "x\n+ @") == (
+        3, "", "error: unexpected character '@' (line 2, column 3)\n")
 
 
 def nest(inner: str, levels: int = 3000) -> str:
@@ -745,6 +753,51 @@ def test_undecided_classification_in_symmetry_and_ode(capsys, tmp_path):
         assert code == 2 and report["classification"]["label"] == "Undecided"
         assert report["checks"]["classification_decided"] == "indeterminate"
         assert report["status"] == "indeterminate"
+
+
+# sinh(2) - 2*sinh(1)*cosh(1) is 0, and no zero test decides it: its two
+# atoms are independent generators.
+ZERO = "(sinh(2) - 2*sinh(1)*cosh(1))"
+
+
+def test_undecided_kappa_of_an_algebra(capsys, tmp_path):
+    """h_tilde = 0 and kappa undecided: `classify` says Undecided.  Items 3
+    and 18 of the roadmap will decide the constant, and this test will then
+    need another undecided one."""
+    path = tmp_path / "algebra.txt"
+    path.write_text(f"[algebra]\nc012 = {ZERO} - 1\nc021 = {ZERO} - 1\n")
+    code, report, _ = run_json(capsys, "analyze", str(path))
+    assert code == 2
+    assert report["classification"]["label"] == "Undecided"
+    assert report["checks"]["classification_decided"] == "indeterminate"
+
+
+def test_undecided_symmetry_verdicts(capsys, tmp_path):
+    """Heisenberg's frame with fields scaled by C = ZERO + 1, which no zero
+    test decides to be 1: the rotation's trace and the dilation's conformal
+    factor are undecided, so both verdicts are unknown, while the unscaled
+    rotation is decided neither.  Items 3 and 18 of the roadmap will decide
+    C, and this test will then need another undecided constant."""
+    c = f"({ZERO} + 1)"
+    path = tmp_path / "symmetry.txt"
+    path.write_text(builtins.HEISENBERG + "\n[symmetry]\n"
+                    f"R = -{c}*y*d/dx + {c}*x*d/dy\n"
+                    f"D = {c}*x*d/dx + {c}*y*d/dy + 2*{c}*z*d/dz\n"
+                    "R0 = -y*d/dx + x*d/dy\n")
+    code, report, _ = run_json(capsys, "symmetry", str(path))
+    assert code == 2
+    assert [(z["name"], z["verdict"]) for z in report["symmetry"]] == [
+        ("R", "unknown"), ("D", "unknown"), ("R0", "neither")]
+
+
+def test_zero_symmetry_field(capsys, tmp_path):
+    """The zero field is an isometry, printed with its one zero component."""
+    path = tmp_path / "symmetry.txt"
+    path.write_text(builtins.HEISENBERG + "\n[symmetry]\nO = 0*d/dx\n")
+    code, out, _ = run_cli(capsys, "symmetry", str(path))
+    assert code == 0
+    assert "    name: O\n    field: 0*d/dx\n    preserves_distribution: pass\n" \
+           "    verdict: isometry\n" in out
 
 
 class TestAtomOutputs:

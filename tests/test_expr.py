@@ -481,7 +481,7 @@ def _tree_gen_text(chart, g):
 
 def _tree_polynomial_text(chart, e):
     if e.is_Rational:
-        return ex._render_rational(e)
+        return str(e)
     gens = set(e.free_symbols) | e.atoms(sp.exp, sp.sinh, sp.cosh, sp.log, type(sp.E))
 
     def key(g):
@@ -740,7 +740,8 @@ def test_analyze_reduces_each_fraction_once(monkeypatch):
     numerators, with no gcd.  Cancelling every sum and product anew took
     173; bracketing [X2,X1] and pairing it with the coframe a second time
     took 86; bracketing with the Reeb field and reducing every check took
-    82."""
+    82; reading dw's partials unexpanded took 29.  The three gcds since are
+    the subtractions inside `exterior_derivative(w)`."""
     calls = []
     gcd = PolyElement._gcd_ZZ
 
@@ -751,7 +752,27 @@ def test_analyze_reduces_each_fraction_once(monkeypatch):
     defn = parse_structure_file(FRAME_2)
     monkeypatch.setattr(PolyElement, "_gcd_ZZ", counted)
     assert analyze_definition(defn)["status"] == "pass"
-    assert len(calls) == 29
+    assert len(calls) == 32
+
+
+def test_dw_checks_sum_over_few_denominators(monkeypatch):
+    """A guard on the size of the largest unreduced denominator one `analyze`
+    builds, on a mid-size frame: each dw check pairs dw itself, six products
+    over the denominators of dw and X0.  Expanding dw from the twelve
+    products of the partials of w made a denominator of 12,536 terms."""
+    sizes = []
+    unreduced_sum = ex._unreduced_sum
+
+    def measured(field, products):
+        numer, denom = unreduced_sum(field, products)
+        sizes.append(len(denom))
+        return numer, denom
+
+    defn = parse_structure_file(
+        "[frame]\nX1 = d/dx + 3*z*d/dy\nX2 = d/dy - (3/2*x^2*y + 9*x*y + z + 1)*d/dz\n")
+    monkeypatch.setattr(ex, "_unreduced_sum", measured)
+    assert analyze_definition(defn)["status"] == "pass"
+    assert max(sizes) == 2905
 
 
 @contextlib.contextmanager
