@@ -42,7 +42,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.chart, comps)
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
         raise ValueError("exterior derivative requires a 1-form")
     a = form.components
     coords = form.chart.coords
-    comps = tuple(a[j].diff(coords[i]) - a[i].diff(coords[j]) for i, j in _PAIRS)
+    comps = tuple(a[j].diff(coords[i]) - a[i].diff(coords[j]) for i, j in PAIRS)
     return DifferentialForm(form.chart, 2, comps)
 
 
@@ -85,7 +85,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     if a.degree != 1 or b.degree != 1:
         raise ValueError("wedge requires two 1-forms")
     u, v = a.components, b.components
-    return DifferentialForm(a.chart, 2, tuple(u[i] * v[j] - u[j] * v[i] for i, j in _PAIRS))
+    return DifferentialForm(a.chart, 2, tuple(u[i] * v[j] - u[j] * v[i] for i, j in PAIRS))
 
 
 def combine(terms: Sequence[tuple[Expr, Field]]) -> Field:
@@ -104,7 +104,7 @@ def pairing(form: DifferentialForm, fields: Sequence[VectorField], constant: Num
     if form.degree == 1:
         return Residual(form.chart, zip(form.components, fields[0].components), constant)
     x, y = (X.components for X in fields)
-    return Residual(form.chart, [term for (i, j), b in zip(_PAIRS, form.components)
+    return Residual(form.chart, [term for (i, j), b in zip(PAIRS, form.components)
                                  for term in ((b, x[i], y[j]), (-b, x[j], y[i]))], constant)
 
 

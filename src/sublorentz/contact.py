@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculus import (
+    PAIRS,
     DifferentialForm,
     VectorField,
     combine,
@@ -145,6 +146,6 @@ def apparatus_residuals(app: ContactApparatus) -> dict[str, tuple[Residual, ...]
         ),
         "dnu0=nu1^nu2": tuple(
             Residual(app.chart, [(d,), (-nu1[i], nu2[j]), (nu1[j], nu2[i])])
-            for (i, j), d in zip(((0, 1), (0, 2), (1, 2)), dw.components)
+            for (i, j), d in zip(PAIRS, dw.components)
         ),
     }

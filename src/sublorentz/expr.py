@@ -101,7 +101,8 @@ def _valid_name(name: str) -> bool:
 class Chart:
     """An ordered list of coordinate names plus declared constant parameters.
 
-    Coordinates support differentiation; parameters differentiate to zero.
+    Coordinates support differentiation; a coordinate derivative of a
+    parameter is zero.
     Names must be unique across both groups.
     """
 
@@ -819,8 +820,6 @@ class Expr:
         """d/d coord: the partial derivative in the coordinate, plus, by the
         chain rule, the partial in each atom times the atom's derivative.
         The value keeps each partial it takes, so none is taken twice."""
-        if coord in self.chart.params:
-            return self.chart.zero()
         try:
             return self._partials[coord]
         except AttributeError:  # the slot fills on the first partial

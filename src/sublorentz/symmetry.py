@@ -3,11 +3,11 @@
 A candidate field Z must preserve the distribution (both brackets [Z, Xi]
 horizontal).  The restricted Lie derivative of the metric along Z is then a
 symmetric 2x2 matrix on the frame; Z is an infinitesimal isometry when it
-vanishes and conformal with factor mu when it equals mu * g.  Higher-order
-derivatives iterate the same bracket-level formula.  `Candidate` walks the
-chain ad_Z^k Xi once and decides preservation and the verdict once; its Lie
-derivative entries and the unreduced residuals of its bracket series read
-the same chain.
+vanishes and conformal with factor mu when it equals mu * g.  `Candidate`
+walks the chain ad_Z^k Xi once and decides preservation and the verdict
+once.  The verdict and the bracket series read one formula, the series
+sum_k C(n,k) g(ad_Z^k X, ad_Z^{n-k} Y): the metric entries are constant, so
+its first term is minus the restricted Lie derivative.
 
 The fiber side realizes the same data through canonical momenta, declared as
 coordinates of a phase chart: fiber-linear polynomials h_X, the quadratic
@@ -58,19 +58,19 @@ class Candidate:
 
     @cached_property
     def verdict(self) -> SymmetryVerdict:
-        """neither when Z moves the distribution; otherwise, from the
-        restricted Lie derivative L, isometry when L = 0, conformal when
-        L = mu*g, neither for any other L.  unknown where undecided."""
+        """neither when Z moves the distribution; otherwise, from the series'
+        first term S = -L, its off-diagonal and trace decided unreduced: isometry
+        when L = 0, conformal when L = mu*g, neither otherwise; unknown where undecided."""
         if self.preserved is not Tri.TRUE:
             return SymmetryVerdict("neither" if self.preserved is Tri.FALSE else "unknown", None)
-        L = self.lie_derivative()
-        off = L[0][1].is_zero()
-        trace = (L[0][0] + L[1][1]).is_zero()
+        s00, s01, s11 = self.series_residuals(1)
+        off = s01.is_zero()
+        trace = Residual(self.app.chart, s00.products + s11.products).is_zero()
         if Tri.FALSE in (off, trace):
             return SymmetryVerdict("neither", None)
         if Tri.UNKNOWN in (off, trace):
             return SymmetryVerdict("unknown", None)
-        mu = L[1][1]
+        mu = -s11.value()
         v = mu.is_zero()
         if v is Tri.TRUE:
             return SymmetryVerdict("isometry", self.app.chart.zero())
@@ -92,62 +92,42 @@ class Candidate:
                                       for row in self._rows))
         return self._levels[:k + 1]
 
-    def lie_derivative(self, order: int = 1) -> Matrix2:
-        """Matrix of the order-th restricted Lie derivative of g on (X1, X2)."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        ad = self._levels_to(1)[1]
-        t = _metric(self.app.chart)
-        for _ in range(order):
-            t = _lie_step(self.Z, t, ad)
-        return t
+    def lie_derivative(self) -> Matrix2:
+        """Matrix of the restricted Lie derivative of g on (X1, X2)."""
+        return _lie_matrix(self.series_residuals(1))
 
     def series_residuals(self, n: int) -> tuple[Residual, Residual, Residual]:
-        """Unreduced sum_k C(n,k) g(ad_Z^k X, ad_Z^{n-k} Y) for the pairs
-        (X1,X1), (X1,X2), (X2,X2).  They all vanish for isometries.  For a
-        conformal field they are the flow derivatives of mu*g, for example
+        """The n-th term of the bracket series, unreduced: zero for isometries,
+        and the flow derivatives of mu*g for a conformal field, for example
         (-2)^n g for the weighted dilation of the Heisenberg frame."""
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        levels = self._levels_to(n)
-        chart = self.app.chart
-
-        def residual(i: int, j: int) -> Residual:
-            return Residual(chart, [(chart.number(comb(n, k) * c), levels[k][i][m],
-                                     levels[n - k][j][m])
-                                    for k in range(n + 1) for m, c in enumerate(METRIC_DIAG)])
-
-        return (residual(0, 0), residual(0, 1), residual(1, 1))
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return _series(self.app.chart, self._levels_to(n), n)
 
 
-def _metric(chart: Chart) -> Matrix2:
-    zero = chart.zero()
-    return ((chart.number(METRIC_DIAG[0]), zero), (zero, chart.number(METRIC_DIAG[1])))
+def _series(chart: Chart, levels, n: int) -> tuple[Residual, Residual, Residual]:
+    """Unreduced sum_k C(n,k) g(ad^k X, ad^{n-k} Y) for the pairs (X1,X1),
+    (X1,X2), (X2,X2), where levels[k] holds the frame parts of ad^k (X1, X2)."""
+    def residual(i: int, j: int) -> Residual:
+        return Residual(chart, [(chart.number(comb(n, k) * c), levels[k][i][m], levels[n - k][j][m])
+                                for k in range(n + 1) for m, c in enumerate(METRIC_DIAG)])
+
+    return (residual(0, 0), residual(0, 1), residual(1, 1))
 
 
-def _lie_step(derive, t: Matrix2, ad) -> Matrix2:
-    """One restricted Lie derivative of the matrix t along a field whose
-    derivation on scalars is `derive` and whose brackets with (X1, X2) have
-    frame coefficients `ad`."""
-    def entry(i: int, j: int) -> Expr:
-        lead = derive(t[i][j])
-        ai, bi = ad[i]
-        aj, bj = ad[j]
-        return lead - (ai * t[0][j] + bi * t[1][j]) - (aj * t[i][0] + bj * t[i][1])
-
-    e00 = entry(0, 0)
-    e01 = entry(0, 1)
-    e11 = entry(1, 1)
+def _lie_matrix(first: tuple[Residual, Residual, Residual]) -> Matrix2:
+    """The restricted Lie derivative, reduced, from the series' first term."""
+    e00, e01, e11 = (-s.value() for s in first)
     return ((e00, e01), (e01, e11))
 
 
 def reeb_lie_derivative(sf: StructureFunctions, chart: Chart) -> Matrix2:
     """Restricted Lie derivative along the Reeb field from structure functions
-    alone: an independent route valid in both coordinate and constant modes
-    (ad_X0 Xi = -(c0i^1 X1 + c0i^2 X2)).  The metric entries are constant, so
-    their derivative along X0 is zero."""
-    ad = [(-sf.c011, -sf.c012), (-sf.c021, -sf.c022)]
-    return _lie_step(lambda f: chart.zero(), _metric(chart), ad)
+    alone: an independent route valid in both coordinate and constant modes,
+    the series' first term with ad_X0 Xi = -(c0i^1 X1 + c0i^2 X2)."""
+    one, zero = chart.one(), chart.zero()
+    levels = [((one, zero), (zero, one)), ((-sf.c011, -sf.c012), (-sf.c021, -sf.c022))]
+    return _lie_matrix(_series(chart, levels, 1))
 
 
 # -- fiber polynomials and the Poisson bracket --------------------------------

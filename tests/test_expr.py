@@ -102,6 +102,14 @@ class TestDifferentiate:
         with pytest.raises(UnknownSymbol):
             var("x").diff("w")
 
+    def test_parameter_is_not_a_coordinate(self):
+        """A parameter is constant in the coordinates, and no derivative
+        in it is defined: d/dt of t*x + t^2 is refused, not read as 0."""
+        chart = Chart(params=("t",))
+        with pytest.raises(UnknownSymbol, match="not a chart coordinate: 't'"):
+            parse_expr("t*x + t^2", chart).diff("t")
+        assert parse_expr("t*x", chart).diff("x") == chart.var("t")
+
     def test_log_derivative_stays_rational(self):
         x = var("x")
         e = ex.log(x ** 2 + 1)

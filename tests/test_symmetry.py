@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from sublorentz.calculus import combine, lie_bracket
 from sublorentz.contact import Frame, build_apparatus
 from sublorentz.errors import DistributionNotPreserved, UnknownSymbol
-from sublorentz.expr import Chart, Residual, Tri, all_zero
+from sublorentz.expr import Chart, Expr, Residual, Tri, all_zero
 from sublorentz.invariants import FrameContext, compute_invariants, hyperbolic, hyperbolic_rotate
 from sublorentz.parsing import parse_expr, parse_field, parse_structure_file, render_expr
 from sublorentz.symmetry import (
@@ -83,25 +83,18 @@ class TestRestrictedLieDerivative:
         L = Candidate(fld(DILATION), app).lie_derivative()
         assert [[str(e.sym) for e in row] for row in L] == [["-2", "0"], ["0", "2"]]
 
-    @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame"])
+    @pytest.mark.parametrize("fixture", ["martinet_frame", "heisenberg_frame",
+                                         "martinet_rotated_frame", "heisenberg_rotated_frame"])
     def test_two_routes_agree(self, fixture, request):
         """Bracket-level derivative along the Reeb field equals the
-        structure-function route on every fixture."""
+        structure-function route on every fixture, the rotated ones with
+        sinh/cosh atoms included."""
         app = build_apparatus(request.getfixturevalue(fixture))
         ctx = FrameContext(app)
         direct = Candidate(app.x0, app).lie_derivative()
-        via_sf = reeb_lie_derivative(ctx.sf, app.chart)
-        resid = [direct[i][j] - via_sf[i][j] for i in range(2) for j in range(2)]
-        assert all_zero(resid) is Tri.TRUE
-
-    def test_higher_order_iteration(self, martinet_frame):
-        # ad_X0 X2 = -(1/y^2) X1 and X0 kills functions of y, so the second
-        # derivative is [[0, 0], [0, -2/y^4]]
-        app = build_apparatus(martinet_frame)
-        second = Candidate(app.x0, app).lie_derivative(order=2)
-        assert (second[0][1] - second[1][0]).is_zero() is Tri.TRUE
-        assert second[0][0].is_zero() is Tri.TRUE
-        assert second[1][1] == -2 / CH.var("y") ** 4
+        assert direct == reeb_lie_derivative(ctx.sf, app.chart)
+        diagonal = "-2*cosh(x*y)*sinh(x*y)/y^2" if fixture == "martinet_rotated_frame" else "0"
+        assert [render_expr(direct[i][i]) for i in range(2)] == [diagonal, diagonal]
 
     def test_requires_preserving_field(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
@@ -120,6 +113,26 @@ class TestConformalFactor:
         verdict = Candidate(fld(DILATION), app).verdict
         assert verdict.kind == "conformal"
         assert verdict.mu == CH.number(2)
+
+    def test_verdict_decisions(self, heisenberg_frame, monkeypatch):
+        """The verdict reads the bracket series' first term: preservation and
+        then the off-diagonal and the trace are decided as unreduced
+        residuals, and only mu is reduced and decided as a value."""
+        app = build_apparatus(heisenberg_frame)
+        calls = []
+
+        def counting(kind):
+            original = kind.is_zero
+
+            def counted(self):
+                calls.append(kind.__name__)
+                return original(self)
+            return counted
+
+        for kind in (Expr, Residual):
+            monkeypatch.setattr(kind, "is_zero", counting(kind))
+        assert Candidate(fld(DILATION), app).verdict.kind == "conformal"
+        assert sorted(calls) == ["Expr"] + ["Residual"] * 4
 
     def test_martinet_reeb_is_neither(self, martinet_frame):
         app = build_apparatus(martinet_frame)
@@ -154,6 +167,10 @@ class TestCandidateEdges:
 
 
 class TestBracketSeriesIdentity:
+    def test_series_starts_at_the_first_term(self, heisenberg_frame):
+        candidate = Candidate(fld(BOOST), build_apparatus(heisenberg_frame))
+        with pytest.raises(ValueError):
+            candidate.series_residuals(0)
     def test_boost_residuals_vanish(self, heisenberg_frame):
         app = build_apparatus(heisenberg_frame)
         for n in (2, 3):
