@@ -9,10 +9,11 @@ once.  The verdict and the bracket series read one formula, the series
 sum_k C(n,k) g(ad_Z^k X, ad_Z^{n-k} Y): the metric entries are constant, so
 its first term is minus the restricted Lie derivative.
 
-The fiber side realizes the same data through canonical momenta, declared as
-coordinates of a phase chart: fiber-linear polynomials h_X, the quadratic
-Hamiltonian -h1^2/2 + h2^2/2, and a Poisson bracket whose sign is pinned by
-{h_X, h_Y} = h_[X,Y].
+The fiber side realizes the same data through canonical momenta P_<coord>,
+declared beside the coordinates on a six-name phase chart: fiber-linear
+polynomials h_X, the quadratic Hamiltonian -h1^2/2 + h2^2/2, and a Poisson
+bracket whose sign is pinned by {h_X, h_Y} = h_[X,Y], kept unreduced like a
+pairing.  The frame momenta H0..H2 appear only in `momenta_to_frame`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 from .calculus import VectorField, evaluate, lie_bracket, pairing
 from .contact import ContactApparatus
-from .errors import DistributionNotPreserved
+from .errors import DistributionNotPreserved, UnknownSymbol
 from .expr import Chart, Expr, Residual, Tri, all_zero, dot
 from .invariants import METRIC_DIAG, StructureFunctions
 
@@ -141,25 +142,22 @@ def _momentum(coord: str) -> str:
     """Name of the canonical momentum conjugate to `coord`.  The uppercase
     prefix fixes where momenta fall in sympy's generator order, which shapes
     the cost of canonicalization: after single-letter names, before
-    lowercase multi-letter names and atoms."""
+    lowercase multi-letter names and atoms, and after the frame momenta
+    H0..H2 of `momenta_to_frame`."""
     return f"P_{coord}"
 
 
 def phase_chart(chart: Chart) -> Chart:
     """Coordinates of the cotangent bundle: the chart's three coordinates
-    first, then their canonical momenta and the frame momenta.  A chart
-    already declaring one of the momentum names raises UnknownSymbol."""
-    moms = tuple(_momentum(c) for c in chart.coords)
-    return Chart(chart.coords + moms + FRAME_MOMENTA, chart.params)
+    first, then their canonical momenta, six names in all.  A chart already
+    declaring one of the momentum names raises UnknownSymbol."""
+    return Chart(chart.coords + tuple(_momentum(c) for c in chart.coords), chart.params)
 
 
 def fiber_linear(X: VectorField) -> Expr:
     """h_X(lambda) = <lambda, X> in canonical momenta."""
     phase = phase_chart(X.chart)
-    return sum(
-        (c.lift(phase) * phase.var(_momentum(q)) for c, q in zip(X.components, X.chart.coords)),
-        phase.zero(),
-    )
+    return dot((c.lift(phase), phase.var(_momentum(q))) for c, q in zip(X.components, X.chart.coords))
 
 
 def geodesic_hamiltonian(x1: VectorField, x2: VectorField) -> Expr:
@@ -169,28 +167,29 @@ def geodesic_hamiltonian(x1: VectorField, x2: VectorField) -> Expr:
     return (h2 * h2 - h1 * h1) * (h1.chart.one() / 2)
 
 
-def poisson_bracket(F: Expr, G: Expr) -> Expr:
+def poisson_bracket(F: Expr, G: Expr) -> Residual:
     """Canonical bracket of functions on a phase chart (whose first three
-    coordinates are the base's), sign fixed so that {h_X, h_Y} = h_[X,Y]."""
-    pairs = []
+    coordinates are the base's), sign fixed so that {h_X, h_Y} = h_[X,Y]: the
+    unreduced `Residual` of six products, like a pairing; `.value()` reduces it."""
+    if G.chart != F.chart:
+        raise UnknownSymbol("operands live on different charts")
+    products = []
     for q in F.chart.coords[:3]:
         p = _momentum(q)
-        pairs += [(F.diff(p), G.diff(q)), (-F.diff(q), G.diff(p))]
-    return dot(pairs)
+        products += [(F.diff(p), G.diff(q)), (-F.diff(q), G.diff(p))]
+    return Residual(F.chart, products)
 
 
 def momenta_to_frame(app: ContactApparatus, P: Expr) -> Expr:
     """Re-express a fiber polynomial in the frame momenta (H0, H1, H2) by
     inverting the fiber-linear change of basis h_i = <lambda, X_i>: the
     inverse of the matrix of (X0, X1, X2) is the transposed dual coframe, so
-    p_j = sum_i nu_i^j h_i."""
-    phase = P.chart
+    p_j = sum_i nu_i^j h_i.  The value lives on the phase chart extended by
+    H0..H2, the one place the frame momenta are declared."""
+    phase = Chart(P.chart.coords + FRAME_MOMENTA, P.chart.params)
     frame_moms = [phase.var(h) for h in FRAME_MOMENTA]
-    return P.subs({
-        _momentum(q): sum(
-            (nu.components[j].lift(phase) * h for nu, h in zip(app.coframe, frame_moms)),
-            phase.zero(),
-        )
+    return P.lift(phase).subs({
+        _momentum(q): dot((nu.components[j].lift(phase), h) for nu, h in zip(app.coframe, frame_moms))
         for j, q in enumerate(app.chart.coords)
     })
 
@@ -200,7 +199,7 @@ def quadratic_frame_matrix(app: ContactApparatus, P: Expr):
     frame momenta (h0, h1, h2), read off its re-expression
     Q = `momenta_to_frame(app, P)` as q_ab = 1/2 d^2 Q / dH_a dH_b."""
     Q = momenta_to_frame(app, P)
-    half = P.chart.one() / 2
+    half = Q.chart.one() / 2
     return tuple(tuple(Q.diff(a).diff(b) * half for b in FRAME_MOMENTA) for a in FRAME_MOMENTA)
 
 
@@ -210,12 +209,13 @@ def vertical_form_residual(app: ContactApparatus, sf: StructureFunctions) -> Res
 
     Both sides are compared as polynomials in the canonical momenta (the
     right side composed with the forward fiber-linear map), which is the same
-    identity as in frame momenta since the change of basis is invertible."""
+    identity as in frame momenta since the change of basis is invertible.
+    The bracket's six products join the right side's unreduced."""
     h = geodesic_hamiltonian(app.frame.x1, app.frame.x2)
     h0 = fiber_linear(app.x0)
     h1 = fiber_linear(app.frame.x1)
     h2 = fiber_linear(app.frame.x2)
     phase = h.chart
     c011, c012, c021, c022 = (c.lift(phase) for c in (sf.c011, sf.c012, sf.c021, sf.c022))
-    return Residual(phase, [(poisson_bracket(h, h0),), (c011, h1, h1), (c012 - c021, h1, h2),
-                            (-c022, h2, h2)])
+    return Residual(phase, poisson_bracket(h, h0).products + [
+        (c011, h1, h1), (c012, h1, h2), (-c021, h1, h2), (-c022, h2, h2)])

@@ -513,7 +513,7 @@ def test_criterion_10_kernel_suite():
             (one, lie_bracket(lie_bracket(Z, X), Y)),
         ])
         assert tri_ok(all_zero(jac.components))
-        lhs = poisson_bracket(fiber_linear(X), fiber_linear(Y))
+        lhs = poisson_bracket(fiber_linear(X), fiber_linear(Y)).value()
         assert tri_ok((lhs - fiber_linear(lie_bracket(X, Y))).is_zero())
 
     assert verdict("criterion 10: kernel laws (idempotence, round trip, d^2 = 0, "
